@@ -90,10 +90,11 @@ def report_to_csv_row(r: RunReport) -> str:
 
 
 def state_stats(n: int, delta: int) -> RunReport:
-    """Reachable-state and decision-set counts only, no solve."""
+    """Reachable-state and decision-set counts only, no solve; the height
+    bound is clamped to n as in solve()."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sizes, sums = states.stage_counts(n, h_min(n) + delta)
+    sizes, sums = states.stage_counts(n, min(h_min(n) + delta, n))
     return RunReport(
         n=n,
         delta=delta,

@@ -100,7 +100,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = sorted({int(tok) for tok in args.sizes.split(",") if tok})
-    reports = bench.run_scaling(sizes, args.delta, reps=args.reps, seed=args.seed)
+    reports = bench.run_scaling(
+        sizes, args.delta, reps=args.reps, seed=args.seed, dist=args.dist
+    )
     if args.csv:
         lines = [bench.CSV_HEADER]
         lines += [bench.report_to_csv_row(r) for r in reports]
@@ -202,6 +204,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=int, default=1)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--dist", choices=("uniform", "zipf"), default="uniform")
     p.add_argument("--csv", action="store_true")
     add_io(p, needs_input=False)
     p.set_defaults(func=_cmd_bench)

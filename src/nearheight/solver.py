@@ -1,9 +1,12 @@
 """Backward-induction solver for height-bounded optimal binary search trees.
 
 Stage nu places key k_nu on a level; states are rightmost-path bit masks.
-Two engines produce bit-identical results: a dict-based reference pass and
-a numpy-vectorized pass for large n. Both use exact arithmetic and break
-value ties toward the smallest level.
+solve() runs one NumPy kernel over the closed-form decision sets of
+states.decision_table, in int64 or, when values could overflow it, in
+exact Python ints. The dict-based backward_pass/forward_pass is the
+reference the tests compare it with, and also serves bounds wider than the
+kernel's limit. Both use exact arithmetic and break value ties toward the
+smallest level, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ CostValue = Union[Fraction, float]  # Fraction, or math.inf for dead states
 
 INFINITY = inf
 
-_FAST_ENGINE_MIN_N = 80
-_FAST_MAX_WIDTH = 20  # full-domain tables need 2^h_max slots
-_INT_SENTINEL = 1 << 62
+_FAST_MAX_WIDTH = 20  # the kernel's tables hold 2^h_max slots per stage
+# The kernel packs each candidate as value << _LEVEL_BITS | level, so one
+# minimum finds the lowest value and, among equal values, the smallest level.
+_LEVEL_BITS = 5
+_LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 
 
 class InfeasibleHeightError(ValueError):
@@ -114,6 +119,14 @@ def _tree_height_or_zero(tree: Node) -> int:
     return tree_height(tree)
 
 
+def _integer_weights(inst: ProblemInstance) -> Tuple[int, List[int], List[int]]:
+    """(d, alpha * d, beta * d) for the common denominator d, as ints."""
+    denom = inst.common_denominator()
+    alpha = [w.numerator * (denom // w.denominator) for w in inst.alpha]
+    beta = [w.numerator * (denom // w.denominator) for w in inst.beta]
+    return denom, alpha, beta
+
+
 def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
     """Solve the Bellman equation over all reachable states, stage n down
     to 1. Dead states keep V = inf and no policy entry."""
@@ -126,9 +139,7 @@ def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
     sets = st.StageSets(n, h_max)
 
     # exact integer arithmetic over the common denominator; None marks inf
-    denom = inst.common_denominator()
-    alpha_i = [int(a * denom) for a in inst.alpha]
-    beta_i = [int(b * denom) for b in inst.beta]
+    denom, alpha_i, beta_i = _integer_weights(inst)
 
     values: List[dict] = [None] * (n + 1)
     policies: List[dict] = [None] * n
@@ -186,142 +197,86 @@ def forward_pass(tables: StageTables) -> Tuple[CostValue, DecisionSequence]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized engine
+# Vectorized kernel
 
 
-class _PairTable:
-    """All feasible (state, decision) pairs over the full 2^h_max domain,
-    grouped by state in ascending decision order."""
-
-    _cache = {}
-
-    def __init__(self, h_max: int):
-        size = 1 << h_max
-        src, lev, dst, gap_coef = [], [], [], []
-        for s in range(size):
-            pd = s.bit_length() - 1 if s else 0
-            for a in range(h_max):
-                if st.is_feasible(s, a):
-                    src.append(s)
-                    lev.append(a)
-                    dst.append((s & ((1 << a) - 1)) | (1 << a))
-                    gap_coef.append(1 + max(pd, a))
-        self.src = np.asarray(src, dtype=np.int64)
-        self.lev = np.asarray(lev, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.gap_coef = np.asarray(gap_coef, dtype=np.int64)
-        self.key_coef = self.lev + 1
-        counts = np.zeros(size, dtype=np.int64)
-        np.add.at(counts, self.src, 1)
-        self.counts = counts
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-
-    @classmethod
-    def get(cls, h_max: int) -> "_PairTable":
-        tab = cls._cache.get(h_max)
-        if tab is None:
-            tab = cls._cache[h_max] = _PairTable(h_max)
-        return tab
-
-
-def _fast_backward_forward(
+def _kernel_pass(
     inst: ProblemInstance, h_max: int
-) -> Tuple[Fraction, DecisionSequence, int]:
-    """Vectorized Algorithm-1 equivalent on integer-scaled weights.
+) -> Tuple[Fraction, DecisionSequence, int, str]:
+    """Backward and forward pass over all 2^h_max states, in NumPy.
 
-    Infinity is tracked with a guarded sentinel strictly above every
-    attainable finite cost; values are clamped to it each stage so the
-    sentinel never overflows int64.
+    Returns the cost, the decisions, the relaxation count of the DP (the
+    (reachable state, decision) pairs that states.stage_counts counts; the
+    kernel evaluates every state of the width, reachable or not, which
+    leaves the values of reachable states unchanged) and the dtype used.
+    Values are integers over the common denominator: int64 when every
+    packed value fits, exact Python ints ("object") otherwise.
     """
-    n = inst.n
     if h_max > _FAST_MAX_WIDTH:
-        raise OverflowError("state domain too wide for the vectorized engine")
-    denom = inst.common_denominator()
-    alpha_i = [int(a * denom) for a in inst.alpha]
-    beta_i = [int(b * denom) for b in inst.beta]
-    if (h_max + 1) * (sum(alpha_i) + sum(beta_i)) >= _INT_SENTINEL // 2:
-        raise OverflowError("weights too large for the vectorized engine")
+        raise ValueError(
+            f"h_max {h_max} above {_FAST_MAX_WIDTH}: too wide for the vectorized kernel"
+        )
+    n = inst.n
+    denom, alpha, beta = _integer_weights(inst)
+    # Every finite value is at most `bound`, so `dead` (infinity) sits above
+    # them all; a value that involves a dead state is at most dead + bound.
+    bound = (h_max + 1) * (sum(alpha) + sum(beta))
+    dead = bound + 1
+    top_packed = ((dead + bound) << _LEVEL_BITS) | _LEVEL_MASK
+    dtype = "int64" if top_packed <= np.iinfo(np.int64).max else "object"
 
     size = 1 << h_max
-    min_keys, max_keys, _deg = st.capacity_profile(h_max)
-    mk = np.asarray(min_keys, dtype=np.int64)
-    xk = np.asarray(max_keys, dtype=np.int64)
-    pairs = _PairTable.get(h_max)
-    pair_src = pairs.src
-    all_states = np.arange(size, dtype=np.int64)
+    tab = st.decision_table(h_max)
+    # The shallow decision q-1 of state s costs (1+p)*alpha + q*beta. Pair
+    # (1+p, q) has index (1+p)*(h_max+1) + q; index 0 (cost 0, level 0)
+    # stands for states without a shallow decision.
+    width = h_max + 1
+    pair = np.where(tab.shallow >= 0, (tab.top + 1) * width + tab.shallow + 1, 0)
+    gap_coef, key_coef = np.divmod(np.arange(width * width), width)
+    gap_coef, key_coef = gap_coef.astype(dtype), key_coef.astype(dtype)
+    level = np.maximum(key_coef - 1, 0)
 
-    # terminal values over S_{n+1}
-    reach = (mk <= n) & (n <= xk)
-    tv = (all_states != 0) & ((all_states & (all_states + 1)) == 0)
-    pd = np.maximum(
-        np.asarray([s.bit_length() - 1 for s in range(size)], dtype=np.int64), 0
-    )
-    v = np.where(reach & tv, (pd + 1) * alpha_i[n], _INT_SENTINEL)
-
-    policies = np.full((n, size), -1, dtype=np.int8)
-    relaxations = 0
-    pos_big = np.int64(1) << 40
+    # v: the next stage's packed values with the level bits cleared; slot
+    # `size` stays dead as the successor of states without a shallow level
+    v = np.full(size + 1, dead << _LEVEL_BITS, dtype=dtype)
+    for k in range(1, h_max + 1):
+        v[(1 << k) - 1] = (k * alpha[n]) << _LEVEL_BITS  # levels 0..k-1 occupied
+    best = np.empty(size, dtype=dtype)
+    cand = np.empty(size, dtype=dtype)
+    # deep level a takes state s < 2^a to s + 2^a: three views per level
+    deep = [(v[1 << a : 2 << a], best[: 1 << a], cand[: 1 << a]) for a in range(h_max)]
+    policies = np.empty((n, size), dtype=np.int8)
     for nu in range(n, 0, -1):
-        m = nu - 1
-        reach = (mk <= m) & (m <= xk)
-        srcs = np.flatnonzero(reach)
-        sizes = pairs.counts[srcs]
-        nz = sizes > 0
-        srcs_nz = srcs[nz]
-        sizes_nz = sizes[nz]
-        sel = np.repeat(pairs.offsets[srcs_nz], sizes_nz) + _ranges(sizes_nz)
-        relaxations += len(sel)
-        cand = (
-            pairs.gap_coef[sel] * alpha_i[nu - 1]
-            + pairs.key_coef[sel] * beta_i[nu - 1]
-            + v[pairs.dst[sel]]
-        )
-        starts = np.concatenate(([0], np.cumsum(sizes_nz)))[:-1]
-        group_min = np.minimum.reduceat(cand, starts) if len(cand) else cand
-        finite = group_min < _INT_SENTINEL
-        # smallest level attaining the minimum: first matching pair per group
-        posm = np.where(
-            cand == np.repeat(group_min, sizes_nz), _ranges_pos(len(cand)), pos_big
-        )
-        first = np.minimum.reduceat(posm, starts) if len(cand) else posm
-        v = np.full(size, _INT_SENTINEL, dtype=np.int64)
-        v[srcs_nz] = np.minimum(group_min, _INT_SENTINEL)
-        pol = policies[nu - 1]
-        fin_states = srcs_nz[finite]
-        pol[fin_states] = pairs.lev[sel][first[finite]].astype(np.int8)
+        a_w = alpha[nu - 1] << _LEVEL_BITS
+        b_w = beta[nu - 1] << _LEVEL_BITS
+        pair_cost = gap_coef * a_w + key_coef * b_w + level
+        v.take(tab.shallow_next, out=best, mode="clip")
+        pair_cost.take(pair, out=cand, mode="clip")
+        best += cand
+        w = a_w + b_w  # a deep level a costs (a+1)*(alpha+beta)
+        for a, (succ, b, c) in enumerate(deep):
+            np.add(succ, (a + 1) * w + a, out=c)
+            np.minimum(b, c, out=b)
+        np.bitwise_and(best, _LEVEL_MASK, out=policies[nu - 1], casting="unsafe")
+        np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
 
-    f_int = int(v[0])
-    if f_int >= _INT_SENTINEL:
+    f_int = int(v[0]) >> _LEVEL_BITS
+    if f_int >= dead:
         raise InfeasibleHeightError("no feasible tree within the height bound")
     levels = []
     s = 0
-    for nu in range(1, n + 1):
-        a = int(policies[nu - 1][s])
-        if a < 0:
-            raise InfeasibleHeightError("policy undefined along the optimal path")
+    for nu in range(n):
+        a = int(policies[nu, s])
         levels.append(a)
-        s = st.transition(s, a)
+        s = (s & ((1 << a) - 1)) | (1 << a)
+    min_keys, max_keys, degree = st.capacity_profile(h_max)
+    stages = np.maximum(np.minimum(max_keys, n - 1) - min_keys + 1, 0)
     return (
         Fraction(f_int, denom),
         DecisionSequence(levels=tuple(levels), h_max=h_max),
-        relaxations,
+        int(np.dot(stages, degree)),
+        dtype,
     )
-
-
-def _ranges(sizes: np.ndarray) -> np.ndarray:
-    """Concatenated arange(k) for each k in sizes."""
-    total = int(sizes.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(sizes)[:-1]
-    out[0] = 0
-    out[ends] = 1 - sizes[:-1]
-    return np.cumsum(out)
-
-
-def _ranges_pos(length: int) -> np.ndarray:
-    return np.arange(length, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -329,36 +284,39 @@ def _ranges_pos(length: int) -> np.ndarray:
 
 
 def solve(inst: ProblemInstance, delta: int = 0, engine: str = "auto") -> Solution:
-    """Optimal tree with height at most h_min(n) + delta."""
+    """Optimal tree with height at most h_min(n) + delta.
+
+    The bound is clamped to n, the height of the tallest tree on n keys, and
+    the Solution reports the clamped bound. engine "auto" and "numpy" run the
+    vectorized kernel; "python" runs the reference backward/forward pass, as
+    "auto" does for a bound above the kernel's width limit, where "numpy"
+    raises ValueError.
+    """
     inst.require_valid()
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    if engine not in ("auto", "numpy", "python"):
+        raise ValueError(f"unknown engine {engine!r}")
     n = inst.n
-    h_max = h_min(n) + delta
+    h_max = min(h_min(n) + delta, n)
     if n == 0:
         tree = External(gap=0, level=0)
         return Solution(
             cost=Fraction(0),
-            decisions=DecisionSequence(levels=(), h_max=max(h_max, 1)),
+            decisions=DecisionSequence(levels=(), h_max=1),
             tree=tree,
             h_max=h_max,
         )
 
-    if engine == "auto":
-        engine = "numpy" if n > _FAST_ENGINE_MIN_N and h_max <= _FAST_MAX_WIDTH else "python"
-    if engine == "numpy":
-        try:
-            cost, ds, _relax = _fast_backward_forward(inst, h_max)
-        except OverflowError:
-            engine = "python"
-    if engine == "python":
-        tables = backward_pass(inst, h_max)
-        cost, ds = forward_pass(tables)
-    elif engine != "numpy":
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "python" or (engine == "auto" and h_max > _FAST_MAX_WIDTH):
+        cost, ds = forward_pass(backward_pass(inst, h_max))
+    else:
+        cost, ds, _relax, _dtype = _kernel_pass(inst, h_max)
 
     tree = build_tree_from_decisions(ds, n)
-    assert weighted_path_length(tree, inst) == cost
+    wpl = weighted_path_length(tree, inst)
+    if wpl != cost:
+        raise RuntimeError(f"solver cost {cost} differs from the tree's wpl {wpl}")
     return Solution(cost=cost, decisions=ds, tree=tree, h_max=h_max)
 
 

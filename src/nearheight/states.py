@@ -6,7 +6,9 @@ holds a key (level 0 = least significant bit).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple
+
+import numpy as np
 
 from .instance import h_min
 
@@ -93,7 +95,46 @@ def enumerate_reachable(n: int, h_max: int) -> List[List[int]]:
     return [list(sets.states(nu)) for nu in range(1, n + 2)]
 
 
+class DecisionTable(NamedTuple):
+    """Closed-form decision sets of all 2^h_max states, indexed by state.
+
+    Let p be the top set bit of s and q the lowest bit of the run of set
+    bits ending at p. Then D(s) = {q-1 if q >= 1} | {p+1, ..., h_max-1}
+    (for s = 0, every level). A deep level a > p takes s to s + 2^a; the one
+    shallow level q-1 < p is given here with its successor.
+    """
+
+    top: np.ndarray  # p = precdec(s), -1 for s = 0
+    shallow: np.ndarray  # q-1, or -1 when s has no level below p (int8)
+    shallow_next: np.ndarray  # transition(s, q-1), or 2^h_max when none
+    degree: np.ndarray  # |D(s)|
+
+
+_TABLE_CACHE = {}
 _PROFILE_CACHE = {}
+
+
+def decision_table(h_max: int) -> DecisionTable:
+    """The DecisionTable of width h_max, built once per width."""
+    _check_width(h_max)
+    cached = _TABLE_CACHE.get(h_max)
+    if cached is not None:
+        return cached
+    size = 1 << h_max
+    s = np.arange(size, dtype=np.int64)
+    top = np.full(size, -1, dtype=np.int64)
+    for i in range(h_max):
+        top[1 << i : 2 << i] = i
+    # complementing bits 0..p turns the run ending at p into zeros, so the
+    # top set bit of what is left is q-1
+    shallow = top[s ^ ((1 << (top + 1)) - 1)]
+    has = shallow >= 0
+    low = np.where(has, 1 << np.maximum(shallow, 0), 0)
+    shallow_next = np.where(has, (s & (low - 1)) | low, size)
+    degree = has + (h_max - 1 - top)
+    table = DecisionTable(top, shallow.astype(np.int8), shallow_next, degree)
+    _TABLE_CACHE[h_max] = table
+    return table
 
 
 def capacity_profile(h_max: int):
@@ -103,22 +144,22 @@ def capacity_profile(h_max: int):
     popcount(s) <= m <= sum over set bits i of 2^(h_max-1-i):
     the lower end places one key per occupied rightmost-path level, the
     upper end additionally fills every left subtree hanging off that path.
-    Returns (min_keys, max_keys, degree) as lists indexed by state.
+    Returns (min_keys, max_keys, degree) as int64 arrays indexed by state.
     """
     _check_width(h_max)
     cached = _PROFILE_CACHE.get(h_max)
     if cached is not None:
         return cached
-    size = 1 << h_max
-    min_keys = [0] * size
-    max_keys = [0] * size
-    degree = [0] * size
-    for s in range(size):
-        min_keys[s] = bin(s).count("1")
-        max_keys[s] = sum(1 << (h_max - 1 - i) for i in range(h_max) if (s >> i) & 1)
-        degree[s] = sum(1 for a in range(h_max) if is_feasible(s, a))
-    _PROFILE_CACHE[h_max] = (min_keys, max_keys, degree)
-    return min_keys, max_keys, degree
+    s = np.arange(1 << h_max, dtype=np.int64)
+    min_keys = np.zeros_like(s)
+    max_keys = np.zeros_like(s)
+    for i in range(h_max):
+        bit = (s >> i) & 1
+        min_keys += bit
+        max_keys += bit << (h_max - 1 - i)
+    profile = (min_keys, max_keys, decision_table(h_max).degree)
+    _PROFILE_CACHE[h_max] = profile
+    return profile
 
 
 def stage_counts(n: int, h_max: int):
@@ -127,28 +168,16 @@ def stage_counts(n: int, h_max: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     min_keys, max_keys, degree = capacity_profile(h_max)
-    size_diff = [0] * (n + 2)
-    deg_diff = [0] * (n + 2)
-    for s in range(1 << h_max):
-        lo = min_keys[s]
-        hi = min(max_keys[s], n)
-        if lo > hi:
-            continue
-        size_diff[lo] += 1
-        size_diff[hi + 1] -= 1
-        deg_diff[lo] += degree[s]
-        deg_diff[hi + 1] -= degree[s]
-    sizes = []
-    sums = []
-    acc_sz = 0
-    acc_dg = 0
-    for m in range(n + 1):
-        acc_sz += size_diff[m]
-        acc_dg += deg_diff[m]
-        sizes.append(acc_sz)
-        if m < n:
-            sums.append(acc_dg)
-    return sizes, sums
+    hi = np.minimum(max_keys, n)
+    live = min_keys <= hi
+    lo, hi, deg = min_keys[live], hi[live] + 1, degree[live]
+    sizes = np.cumsum(np.bincount(lo, minlength=n + 2) - np.bincount(hi, minlength=n + 2))
+    # float weights sum exactly: every partial sum is far below 2^53
+    sums = np.cumsum(
+        np.bincount(lo, weights=deg, minlength=n + 2)
+        - np.bincount(hi, weights=deg, minlength=n + 2)
+    )
+    return sizes[: n + 1].tolist(), sums[:n].astype(np.int64).tolist()
 
 
 class StageSets:

@@ -33,6 +33,10 @@ def test_state_stats_single_key():
     assert report.state_counts[0] == 1
 
 
+def test_state_stats_clamps_height():
+    assert state_stats(3, 100).state_counts == state_stats(3, 1).state_counts
+
+
 def test_state_stats_rejects_zero():
     with pytest.raises(ValueError):
         state_stats(0, 0)

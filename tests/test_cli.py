@@ -3,8 +3,9 @@ import json
 import pytest
 
 from nearheight.cli import main
-from nearheight.instance import ProblemInstance
-from nearheight.solver import solution_from_obj
+from nearheight.instance import ProblemInstance, format_weight, generate_random_instance
+from nearheight.oracles import knuth_unrestricted
+from nearheight.solver import solution_from_obj, solve
 
 GOLDEN = json.dumps(
     {"beta": ["3/16", "1/16", "1/2", "1/4"], "alpha": ["0", "0", "0", "0", "0"]}
@@ -38,6 +39,17 @@ def test_solve_writes_file(golden_file, tmp_path, capsys):
     code, _, _ = run(["solve", "-i", golden_file, "-o", str(out_path)], capsys)
     assert code == 0
     assert json.loads(out_path.read_text())["wpl"] == "25/16"
+
+
+def test_solve_large_delta_clamped(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"beta": ["2/3"], "alpha": ["1/6", "1/6"]}))
+    code, out, err = run(["solve", "-i", str(path), "--delta", "100"], capsys)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["h_max"] == 1
+    inst = ProblemInstance.loads(path.read_text())
+    assert obj["wpl"] == format_weight(knuth_unrestricted(inst).cost)
 
 
 def test_solve_text_format(golden_file, capsys):
@@ -152,6 +164,17 @@ def test_bench_ndjson(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["n"] for r in lines] == [10, 20]
     assert "median_wall" in err
+
+
+def test_bench_zipf(capsys):
+    code, out, _ = run(
+        ["bench", "--sizes", "50", "--delta", "1", "--reps", "1", "--dist", "zipf"],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    inst = generate_random_instance(50, report["seed"], dist="zipf")
+    assert report["wpl"] == format_weight(solve(inst, 1).cost)
 
 
 def test_bench_csv(capsys):

@@ -23,7 +23,9 @@ from nearheight import (
     tree_height,
     weighted_path_length,
 )
-from nearheight.solver import _fast_backward_forward, solution_from_obj
+from nearheight import solver
+from nearheight.oracles import knuth_unrestricted
+from nearheight.solver import _kernel_pass, solution_from_obj
 from nearheight.states import transition
 
 
@@ -164,8 +166,6 @@ def test_monotone_in_delta():
 
 
 def test_unrestricted_once_height_slack_covers_n():
-    from nearheight.oracles import knuth_unrestricted
-
     rng = random.Random(17)
     for _ in range(20):
         n = rng.randint(1, 9)
@@ -200,25 +200,95 @@ def test_height_guarantee():
 
 def test_engines_agree():
     rng = random.Random(31)
+    cases = []
     for _ in range(25):
         n = rng.randint(1, 60)
-        delta = rng.randint(0, 2)
         dist = rng.choice(["uniform", "zipf"]) if n <= 20 else "uniform"
+        cases.append((n, rng.randint(0, 2), dist))
+    # zipf weights over lcm(1..n+1) overflow int64 from n = 41 on
+    cases += [(rng.randint(41, 120), rng.randint(0, 2), "zipf") for _ in range(6)]
+    for n, delta, dist in cases:
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
         a = solve(inst, delta, engine="python")
         b = solve(inst, delta, engine="numpy")
         assert a.cost == b.cost
         assert a.decisions == b.decisions
+        if n > 40 and dist == "zipf":
+            assert _kernel_pass(inst, h_min(n) + delta)[3] == "object"
+
+
+def test_kernel_matches_reference_on_ties():
+    """Weights in {0, 1, 2} make many decisions tie; both passes must pick
+    the smallest level."""
+    rng = random.Random(41)
+    for n in range(1, 41):
+        delta = rng.randint(0, 3)
+        beta = tuple(Fraction(rng.randint(0, 2)) for _ in range(n))
+        if n % 3 == 0:
+            alpha = (Fraction(0),) * (n + 1)
+        else:
+            alpha = tuple(Fraction(rng.randint(0, 2)) for _ in range(n + 1))
+        if not any(beta + alpha):
+            beta = (Fraction(1),) + beta[1:]
+        inst = ProblemInstance(beta=beta, alpha=alpha)
+        h_max = min(h_min(n) + delta, n)
+        cost, ds = forward_pass(backward_pass(inst, h_max))
+        got_cost, got_ds, _, dtype = _kernel_pass(inst, h_max)
+        assert (got_cost, got_ds) == (cost, ds), (n, delta)
+        assert dtype == "int64"
+
+
+def test_numpy_engine_never_falls_back(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference pass called")
+
+    monkeypatch.setattr(solver, "backward_pass", refuse)
+    inst = generate_random_instance(100, 3, dist="zipf")
+    sol = solve(inst, 1, engine="numpy")
+    assert weighted_path_length(sol.tree, inst) == sol.cost
+    assert solve(inst, 1).cost == sol.cost  # auto runs the kernel too
+
+
+def test_engine_selection_by_width(monkeypatch, golden_instance):
+    monkeypatch.setattr(solver, "_FAST_MAX_WIDTH", 2)
+    with pytest.raises(ValueError):
+        solve(golden_instance, 0, engine="numpy")
+    sol = solve(golden_instance, 0)  # auto: the reference pass past the limit
+    assert sol.decisions.levels == (1, 2, 0, 1)
+    with pytest.raises(ValueError):
+        solve(golden_instance, 0, engine="fortran")
+
+
+def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):
+    real = solver._kernel_pass
+
+    def wrong_cost(inst, h_max):
+        cost, ds, relax, dtype = real(inst, h_max)
+        return cost + 1, ds, relax, dtype
+
+    monkeypatch.setattr(solver, "_kernel_pass", wrong_cost)
+    with pytest.raises(RuntimeError, match="differs"):
+        solve(golden_instance, 0)
+
+
+def test_height_bound_clamped_to_n():
+    rng = random.Random(19)
+    for n in range(1, 10):
+        inst = generate_random_instance(n, rng.randint(0, 10**6))
+        sol = solve(inst, 100)
+        assert sol.h_max == n
+        assert sol.cost == knuth_unrestricted(inst).cost
+        assert solve_with_max_height(inst, 100).h_max == n
 
 
 def test_fast_engine_relaxation_count_matches_tables():
     from nearheight.states import stage_counts
 
-    for n, delta, seed in [(5, 0, 1), (12, 1, 2), (30, 2, 3)]:
+    for n, delta, seed in [(5, 0, 1), (12, 1, 2), (30, 2, 3), (9, 3, 4)]:
         inst = generate_random_instance(n, seed)
         h_max = h_min(n) + delta
         tables = backward_pass(inst, h_max)
-        _, _, fast_relax = _fast_backward_forward(inst, h_max)
+        _, _, fast_relax, _ = _kernel_pass(inst, h_max)
         assert fast_relax == tables.relaxations == sum(stage_counts(n, h_max)[1])
 
 

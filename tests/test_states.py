@@ -6,6 +6,7 @@ from nearheight.states import (
     StageSets,
     WidthError,
     capacity_profile,
+    decision_table,
     enumerate_reachable,
     feasible_decisions,
     initial_state,
@@ -187,3 +188,20 @@ def test_degree_counts_decisions():
     _, _, degree = capacity_profile(4)
     for s in range(1 << 4):
         assert degree[s] == len(feasible_decisions(s, 4))
+
+
+@pytest.mark.parametrize("h_max", range(1, 13))
+def test_decision_table_closed_form(h_max):
+    """D(s) = {q-1 if q >= 1} | {p+1..h_max-1}, with p the top set bit of s
+    and q the lowest bit of the run of set bits ending at p, equals the
+    literal feasibility test on every state."""
+    tab = decision_table(h_max)
+    for s in range(1 << h_max):
+        shallow = int(tab.shallow[s])
+        closed = ([shallow] if shallow >= 0 else []) + list(range(int(tab.top[s]) + 1, h_max))
+        assert closed == feasible_decisions(s, h_max), bin(s)
+        assert tab.degree[s] == len(closed)
+        if shallow >= 0:
+            assert tab.shallow_next[s] == transition(s, shallow)
+        else:
+            assert tab.shallow_next[s] == 1 << h_max

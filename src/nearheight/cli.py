@@ -1,4 +1,6 @@
-"""Command-line front end: solve, gen, verify, bench, stats, export-dot.
+"""Command-line front end: solve, gen, verify, bench, stats.
+
+`solve --format dot` writes the solved tree as Graphviz DOT.
 
 Exit codes: 0 success, 1 usage error, 2 invalid instance, 3 infeasible
 height bound, 4 verification mismatch.
@@ -74,13 +76,6 @@ def _cmd_solve(args) -> int:
     else:
         out = tree_to_text(sol.tree, inst.keys)
     _write_output(args.output, out)
-    return EXIT_OK
-
-
-def _cmd_export_dot(args) -> int:
-    inst = _load_instance(args.input)
-    sol = _solve_from_args(args, inst)
-    _write_output(args.output, tree_to_dot(sol.tree, inst.keys))
     return EXIT_OK
 
 
@@ -179,11 +174,6 @@ def build_parser() -> _Parser:
     add_height(p)
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("export-dot", help="solve and emit Graphviz DOT")
-    add_io(p)
-    add_height(p)
-    p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--n", type=int, required=True)

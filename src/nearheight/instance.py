@@ -119,7 +119,7 @@ class ProblemInstance:
         )
 
     def common_denominator(self) -> int:
-        return lcm(*(w.denominator for w in self.beta + self.alpha)) if self.n >= 0 else 1
+        return lcm(*(w.denominator for w in self.beta + self.alpha))
 
     def to_obj(self) -> dict:
         obj = {
@@ -139,10 +139,14 @@ class ProblemInstance:
             raise InstanceError(f"unknown fields: {sorted(unknown)}")
         if "beta" not in obj or "alpha" not in obj:
             raise InstanceError("instance requires 'beta' and 'alpha' arrays")
+        if not (isinstance(obj["beta"], list) and isinstance(obj["alpha"], list)):
+            raise InstanceError("'beta' and 'alpha' must be JSON arrays")
         beta = tuple(parse_weight(w) for w in obj["beta"])
         alpha = tuple(parse_weight(w) for w in obj["alpha"])
         keys = obj.get("keys")
         if keys is not None:
+            if not isinstance(keys, list):
+                raise InstanceError("'keys' must be a JSON array")
             if not all(isinstance(k, str) for k in keys):
                 raise InstanceError("keys must be strings")
             keys = tuple(keys)
@@ -264,12 +268,14 @@ def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:
 
     Internal nodes are circles labeled with the key label (or index),
     externals are boxes labeled "(j)". Node ids are k<i> / g<j>; nodes and
-    edges are emitted in in-order.
+    edges are emitted in in-order. Backslashes and double quotes in labels
+    are escaped.
     """
     lines = ["digraph bst {"]
     for nd in inorder(root):
         if isinstance(nd, Internal):
             label = keys[nd.key - 1] if keys is not None else str(nd.key)
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  k{nd.key} [shape=circle, label="{label}"];')
         else:
             lines.append(f'  g{nd.gap} [shape=box, label="({nd.gap})"];')

@@ -3,10 +3,10 @@
 Stage nu places key k_nu on a level; states are rightmost-path bit masks.
 solve() runs one NumPy kernel over the closed-form decision sets of
 states.decision_table, in int64 or, when values could overflow it, in
-exact Python ints. The dict-based backward_pass/forward_pass is the
-reference the tests compare it with, and also serves bounds wider than the
-kernel's limit. Both use exact arithmetic and break value ties toward the
-smallest level, with bit-identical results.
+exact Python ints, for height bounds up to _KERNEL_MAX_WIDTH. The
+dict-based backward_pass/forward_pass is the reference the tests compare it
+with; solve() never calls it. Both use exact arithmetic and break value
+ties toward the smallest level, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .instance import (
     build_tree_from_decisions,
     format_weight,
     h_min,
+    tree_height,
     tree_to_obj,
     weighted_path_length,
 )
@@ -35,7 +36,9 @@ CostValue = Union[Fraction, float]  # Fraction, or math.inf for dead states
 
 INFINITY = inf
 
-_FAST_MAX_WIDTH = 20  # the kernel's tables hold 2^h_max slots per stage
+# The kernel's tables hold 2^h_max slots per stage and its policy table n of
+# them: at width 24, n = 24 peaks at about 1.4 GB RSS.
+_KERNEL_MAX_WIDTH = 24
 # The kernel packs each candidate as value << _LEVEL_BITS | level, so one
 # minimum finds the lowest value and, among equal values, the smallest level.
 _LEVEL_BITS = 5
@@ -91,7 +94,7 @@ class Solution:
         n = len(self.decisions)
         return {
             "wpl": format_weight(self.cost),
-            "height": _tree_height_or_zero(self.tree),
+            "height": tree_height(self.tree),
             "h_min": h_min(n),
             "h_max": self.h_max,
             "decisions": list(self.decisions.levels),
@@ -111,12 +114,6 @@ def solution_from_obj(obj: dict) -> "Solution":
         tree=tree_from_obj(obj["tree"]),
         h_max=obj["h_max"],
     )
-
-
-def _tree_height_or_zero(tree: Node) -> int:
-    from .instance import tree_height
-
-    return tree_height(tree)
 
 
 def _integer_weights(inst: ProblemInstance) -> Tuple[int, List[int], List[int]]:
@@ -202,19 +199,18 @@ def forward_pass(tables: StageTables) -> Tuple[CostValue, DecisionSequence]:
 
 def _kernel_pass(
     inst: ProblemInstance, h_max: int
-) -> Tuple[Fraction, DecisionSequence, int, str]:
+) -> Tuple[Fraction, DecisionSequence, str]:
     """Backward and forward pass over all 2^h_max states, in NumPy.
 
-    Returns the cost, the decisions, the relaxation count of the DP (the
-    (reachable state, decision) pairs that states.stage_counts counts; the
-    kernel evaluates every state of the width, reachable or not, which
-    leaves the values of reachable states unchanged) and the dtype used.
-    Values are integers over the common denominator: int64 when every
-    packed value fits, exact Python ints ("object") otherwise.
+    Returns the cost, the decisions and the dtype used. The kernel evaluates
+    every state of the width, reachable or not, which leaves the values of
+    reachable states unchanged. Values are integers over the common
+    denominator: int64 when every packed value fits, exact Python ints
+    ("object") otherwise.
     """
-    if h_max > _FAST_MAX_WIDTH:
+    if h_max > _KERNEL_MAX_WIDTH:
         raise ValueError(
-            f"h_max {h_max} above {_FAST_MAX_WIDTH}: too wide for the vectorized kernel"
+            f"height bound {h_max} above the kernel's width limit {_KERNEL_MAX_WIDTH}"
         )
     n = inst.n
     denom, alpha, beta = _integer_weights(inst)
@@ -269,34 +265,24 @@ def _kernel_pass(
         a = int(policies[nu, s])
         levels.append(a)
         s = (s & ((1 << a) - 1)) | (1 << a)
-    min_keys, max_keys, degree = st.capacity_profile(h_max)
-    stages = np.maximum(np.minimum(max_keys, n - 1) - min_keys + 1, 0)
-    return (
-        Fraction(f_int, denom),
-        DecisionSequence(levels=tuple(levels), h_max=h_max),
-        int(np.dot(stages, degree)),
-        dtype,
-    )
+    ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
+    return Fraction(f_int, denom), ds, dtype
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 
 
-def solve(inst: ProblemInstance, delta: int = 0, engine: str = "auto") -> Solution:
+def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
     """Optimal tree with height at most h_min(n) + delta.
 
     The bound is clamped to n, the height of the tallest tree on n keys, and
-    the Solution reports the clamped bound. engine "auto" and "numpy" run the
-    vectorized kernel; "python" runs the reference backward/forward pass, as
-    "auto" does for a bound above the kernel's width limit, where "numpy"
-    raises ValueError.
+    the Solution reports the clamped bound. A clamped bound above
+    _KERNEL_MAX_WIDTH raises ValueError before any table is built.
     """
     inst.require_valid()
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if engine not in ("auto", "numpy", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
     n = inst.n
     h_max = min(h_min(n) + delta, n)
     if n == 0:
@@ -308,11 +294,7 @@ def solve(inst: ProblemInstance, delta: int = 0, engine: str = "auto") -> Soluti
             h_max=h_max,
         )
 
-    if engine == "python" or (engine == "auto" and h_max > _FAST_MAX_WIDTH):
-        cost, ds = forward_pass(backward_pass(inst, h_max))
-    else:
-        cost, ds, _relax, _dtype = _kernel_pass(inst, h_max)
-
+    cost, ds, _dtype = _kernel_pass(inst, h_max)
     tree = build_tree_from_decisions(ds, n)
     wpl = weighted_path_length(tree, inst)
     if wpl != cost:
@@ -320,9 +302,7 @@ def solve(inst: ProblemInstance, delta: int = 0, engine: str = "auto") -> Soluti
     return Solution(cost=cost, decisions=ds, tree=tree, h_max=h_max)
 
 
-def solve_with_max_height(
-    inst: ProblemInstance, max_height: int, engine: str = "auto"
-) -> Solution:
+def solve_with_max_height(inst: ProblemInstance, max_height: int) -> Solution:
     """Like solve, but with an absolute height cap instead of slack."""
     inst.require_valid()
     hm = h_min(inst.n)
@@ -331,4 +311,4 @@ def solve_with_max_height(
             f"no tree of height <= {max_height} exists for n = {inst.n} "
             f"(h_min = {hm})"
         )
-    return solve(inst, delta=max_height - hm, engine=engine)
+    return solve(inst, delta=max_height - hm)

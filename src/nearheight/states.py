@@ -83,14 +83,8 @@ def successors(states, h_max: int):
 def enumerate_reachable(n: int, h_max: int) -> List[List[int]]:
     """State sets S_1..S_{n+1} reachable from the all-zero state.
 
-    S_{nu+1} is the image of S_nu under all feasible transitions. Returned
-    fully materialized; use StageSets for large n.
+    S_{nu+1} is the image of S_nu under all feasible transitions.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if h_max < h_min(n):
-        raise ValueError(f"h_max {h_max} below h_min({n}) = {h_min(n)}")
-    _check_width(h_max)
     sets = StageSets(n, h_max)
     return [list(sets.states(nu)) for nu in range(1, n + 2)]
 
@@ -181,61 +175,23 @@ def stage_counts(n: int, h_max: int):
 
 
 class StageSets:
-    """Per-stage reachable state sets with cycle compression.
-
-    The set map S -> successors(S) is deterministic on a finite domain, so
-    the stage sequence is eventually periodic; only distinct sets are stored.
-    """
+    """Reachable state sets S_1..S_{n+1}: S_1 holds the all-zero state and
+    S_{nu+1} = successors(S_nu)."""
 
     def __init__(self, n: int, h_max: int):
         if n < 1:
             raise ValueError("n must be >= 1")
+        if h_max < h_min(n):
+            raise ValueError(f"h_max {h_max} below h_min({n}) = {h_min(n)}")
         _check_width(h_max)
         self.n = n
         self.h_max = h_max
-        self._sets: List[list] = []
-        self._cycle_start = None  # 0-based index into _sets
-        seen = {}
-        cur = [0]
-        for stage0 in range(n + 1):  # stages 1..n+1, 0-based
-            key = tuple(cur)
-            if key in seen:
-                self._cycle_start = seen[key]
-                break
-            seen[key] = stage0
-            self._sets.append(cur)
-            if stage0 == n:
-                break
-            cur = successors(cur, h_max)
-
-    def _index(self, nu: int) -> int:
-        if not 1 <= nu <= self.n + 1:
-            raise ValueError(f"stage {nu} outside 1..{self.n + 1}")
-        i = nu - 1
-        if i < len(self._sets):
-            return i
-        cs = self._cycle_start
-        period = len(self._sets) - cs
-        return cs + (i - cs) % period
+        self._sets: List[list] = [[0]]
+        for _ in range(n):
+            self._sets.append(successors(self._sets[-1], h_max))
 
     def states(self, nu: int) -> list:
         """Sorted state list of S_nu."""
-        return self._sets[self._index(nu)]
-
-    def distinct_indices(self):
-        """Map stage nu -> index into the distinct-set store."""
-        return {nu: self._index(nu) for nu in range(1, self.n + 2)}
-
-    def state_counts(self) -> List[int]:
-        """|S_nu| for nu = 1..n+1."""
-        sizes = [len(s) for s in self._sets]
-        return [sizes[self._index(nu)] for nu in range(1, self.n + 2)]
-
-    def decision_sums(self) -> List[int]:
-        """Sum of |D(s)| over s in S_nu, for nu = 1..n (the per-stage
-        relaxation counts)."""
-        sums = [
-            sum(len(feasible_decisions(s, self.h_max)) for s in st)
-            for st in self._sets
-        ]
-        return [sums[self._index(nu)] for nu in range(1, self.n + 1)]
+        if not 1 <= nu <= self.n + 1:
+            raise ValueError(f"stage {nu} outside 1..{self.n + 1}")
+        return self._sets[nu - 1]

@@ -5,7 +5,7 @@ import pytest
 from nearheight.cli import main
 from nearheight.instance import ProblemInstance, format_weight, generate_random_instance
 from nearheight.oracles import knuth_unrestricted
-from nearheight.solver import solution_from_obj, solve
+from nearheight.solver import backward_pass, forward_pass, solution_from_obj, solve
 
 GOLDEN = json.dumps(
     {"beta": ["3/16", "1/16", "1/2", "1/4"], "alpha": ["0", "0", "0", "0", "0"]}
@@ -73,6 +73,42 @@ def test_solve_unknown_field(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"beta": "123", "alpha": ["0", "0", "0", "0"]}',
+        '{"beta": ["1", "1", "1"], "alpha": "0000"}',
+        '{"beta": ["1", "1"], "alpha": ["0", "0", "0"], "keys": "ab"}',
+    ],
+)
+def test_solve_rejects_non_array_fields(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(["solve", "-i", str(path)], capsys)
+    assert code == 2
+    assert "must be" in err and "JSON array" in err
+
+
+def test_solve_zero_total_weight(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"beta": ["0"] * 3, "alpha": ["0"] * 4}))
+    code, out, err = run(["solve", "-i", str(path)], capsys)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["wpl"] == "0"
+    inst = ProblemInstance.loads(path.read_text())
+    _, ds = forward_pass(backward_pass(inst, obj["h_max"]))
+    assert obj["decisions"] == list(ds.levels)
+
+
+def test_solve_width_above_kernel_limit(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(generate_random_instance(25, 1).dumps())
+    code, _, err = run(["solve", "-i", str(path), "--max-height", "25"], capsys)
+    assert code == 1
+    assert "height bound 25" in err
+
+
 def test_solve_infeasible_height(golden_file, capsys):
     code, _, err = run(["solve", "-i", golden_file, "--max-height", "2"], capsys)
     assert code == 3
@@ -103,7 +139,7 @@ def test_gen_zero_alpha(capsys):
 
 
 def test_export_dot_golden(golden_file, capsys):
-    code, out, _ = run(["export-dot", "-i", golden_file], capsys)
+    code, out, _ = run(["solve", "-i", golden_file, "--format", "dot"], capsys)
     assert code == 0
     for ident in ["k1", "k2", "k3", "k4", "g0", "g1", "g2", "g3", "g4"]:
         assert ident in out
@@ -111,15 +147,15 @@ def test_export_dot_golden(golden_file, capsys):
 
 
 def test_export_dot_repeatable(golden_file, capsys):
-    _, out1, _ = run(["export-dot", "-i", golden_file], capsys)
-    _, out2, _ = run(["export-dot", "-i", golden_file], capsys)
+    _, out1, _ = run(["solve", "-i", golden_file, "--format", "dot"], capsys)
+    _, out2, _ = run(["solve", "-i", golden_file, "--format", "dot"], capsys)
     assert out1 == out2
 
 
 def test_export_dot_single_key(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text('{"beta": ["1"], "alpha": ["0", "0"]}')
-    code, out, _ = run(["export-dot", "-i", str(path)], capsys)
+    code, out, _ = run(["solve", "-i", str(path), "--format", "dot"], capsys)
     assert code == 0
     assert "k1" in out and "g0" in out and "g1" in out and "k2" not in out
 
@@ -136,7 +172,9 @@ def test_gen_solve_export_pipeline(tmp_path, capsys):
             assert code == 0
             sol = solution_from_obj(json.loads(sol_out))
             assert len(sol.decisions.levels) == n
-            code, dot_out, _ = run(["export-dot", "-i", str(inst_path)], capsys)
+            code, dot_out, _ = run(
+                ["solve", "-i", str(inst_path), "--format", "dot"], capsys
+            )
             assert code == 0
             assert dot_out.startswith("digraph")
 

@@ -274,6 +274,12 @@ def test_dot_export_uses_key_labels():
     assert 'label="c"' in out
 
 
+def test_dot_export_escapes_labels():
+    out = tree_to_dot(golden_tree(), ("a", 'b"c', "d\\", "e"))
+    assert 'k2 [shape=circle, label="b\\"c"];' in out
+    assert 'k3 [shape=circle, label="d\\\\"];' in out
+
+
 def test_empty_tree():
     root = build_tree_from_decisions(DecisionSequence(levels=(), h_max=1), 0)
     assert isinstance(root, External) and root.level == 0 and root.gap == 0

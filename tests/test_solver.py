@@ -209,12 +209,12 @@ def test_engines_agree():
     cases += [(rng.randint(41, 120), rng.randint(0, 2), "zipf") for _ in range(6)]
     for n, delta, dist in cases:
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
-        a = solve(inst, delta, engine="python")
-        b = solve(inst, delta, engine="numpy")
-        assert a.cost == b.cost
-        assert a.decisions == b.decisions
+        h_max = min(h_min(n) + delta, n)
+        cost, ds = forward_pass(backward_pass(inst, h_max))
+        got_cost, got_ds, dtype = _kernel_pass(inst, h_max)
+        assert (got_cost, got_ds) == (cost, ds), (n, delta, dist)
         if n > 40 and dist == "zipf":
-            assert _kernel_pass(inst, h_min(n) + delta)[3] == "object"
+            assert dtype == "object"
 
 
 def test_kernel_matches_reference_on_ties():
@@ -233,7 +233,7 @@ def test_kernel_matches_reference_on_ties():
         inst = ProblemInstance(beta=beta, alpha=alpha)
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        got_cost, got_ds, _, dtype = _kernel_pass(inst, h_max)
+        got_cost, got_ds, dtype = _kernel_pass(inst, h_max)
         assert (got_cost, got_ds) == (cost, ds), (n, delta)
         assert dtype == "int64"
 
@@ -244,27 +244,27 @@ def test_numpy_engine_never_falls_back(monkeypatch):
 
     monkeypatch.setattr(solver, "backward_pass", refuse)
     inst = generate_random_instance(100, 3, dist="zipf")
-    sol = solve(inst, 1, engine="numpy")
+    sol = solve(inst, 1)
     assert weighted_path_length(sol.tree, inst) == sol.cost
-    assert solve(inst, 1).cost == sol.cost  # auto runs the kernel too
+    # a wide bound: h = 21 after the clamp, 2^21 states per stage
+    inst = generate_random_instance(21, 5)
+    sol = solve(inst, 100)
+    assert sol.cost == knuth_unrestricted(inst).cost
+    assert tree_height(sol.tree) <= 21
 
 
 def test_engine_selection_by_width(monkeypatch, golden_instance):
-    monkeypatch.setattr(solver, "_FAST_MAX_WIDTH", 2)
-    with pytest.raises(ValueError):
-        solve(golden_instance, 0, engine="numpy")
-    sol = solve(golden_instance, 0)  # auto: the reference pass past the limit
-    assert sol.decisions.levels == (1, 2, 0, 1)
-    with pytest.raises(ValueError):
-        solve(golden_instance, 0, engine="fortran")
+    monkeypatch.setattr(solver, "_KERNEL_MAX_WIDTH", 2)
+    with pytest.raises(ValueError, match="height bound 3 above"):
+        solve(golden_instance, 0)
 
 
 def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):
     real = solver._kernel_pass
 
     def wrong_cost(inst, h_max):
-        cost, ds, relax, dtype = real(inst, h_max)
-        return cost + 1, ds, relax, dtype
+        cost, ds, dtype = real(inst, h_max)
+        return cost + 1, ds, dtype
 
     monkeypatch.setattr(solver, "_kernel_pass", wrong_cost)
     with pytest.raises(RuntimeError, match="differs"):
@@ -288,8 +288,7 @@ def test_fast_engine_relaxation_count_matches_tables():
         inst = generate_random_instance(n, seed)
         h_max = h_min(n) + delta
         tables = backward_pass(inst, h_max)
-        _, _, fast_relax, _ = _kernel_pass(inst, h_max)
-        assert fast_relax == tables.relaxations == sum(stage_counts(n, h_max)[1])
+        assert tables.relaxations == sum(stage_counts(n, h_max)[1])
 
 
 def test_solution_json_round_trip(golden_instance):

@@ -101,6 +101,8 @@ def test_enumerate_reachable_preconditions():
         enumerate_reachable(4, 2)  # below h_min(4) = 3
     with pytest.raises(ValueError):
         enumerate_reachable(0, 1)
+    with pytest.raises(ValueError):
+        StageSets(20, 3)  # below h_min(20) = 5
 
 
 states_and_widths = st.integers(min_value=1, max_value=12).flatmap(

@@ -94,6 +94,8 @@ def state_stats(n: int, delta: int) -> RunReport:
     bound is clamped to n as in solve()."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     sizes, sums = states.stage_counts(n, min(h_min(n) + delta, n))
     return RunReport(
         n=n,
@@ -117,6 +119,8 @@ def run_scaling(
     """Solve reps random instances per size; one report per (size, rep)."""
     if not sizes or list(sizes) != sorted(sizes):
         raise ValueError("sizes must be nonempty and ascending")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     reports = []
     for n in sizes:
         counts = state_stats(n, delta)

@@ -121,6 +121,14 @@ class ProblemInstance:
     def common_denominator(self) -> int:
         return lcm(*(w.denominator for w in self.beta + self.alpha))
 
+    def integer_weights(self) -> tuple:
+        """(d, alpha * d, beta * d): the common denominator d and the weights
+        scaled by it, as lists of ints. Every exact cost is an int over d."""
+        d = self.common_denominator()
+        alpha = [w.numerator * (d // w.denominator) for w in self.alpha]
+        beta = [w.numerator * (d // w.denominator) for w in self.beta]
+        return d, alpha, beta
+
     def to_obj(self) -> dict:
         obj = {
             "beta": [format_weight(b) for b in self.beta],
@@ -218,23 +226,25 @@ def count_keys(root: Node) -> int:
 
 
 def weighted_path_length(root: Node, inst: ProblemInstance) -> Fraction:
-    """sum beta_i * (b_i + 1) + sum alpha_j * a_j, exact."""
-    total = Fraction(0)
+    """sum beta_i * (b_i + 1) + sum alpha_j * a_j, exact: summed over the
+    integer weights of inst.integer_weights()."""
+    d, alpha, beta = inst.integer_weights()
+    total = 0
     n_keys = 0
     n_gaps = 0
     for nd in inorder(root):
         if isinstance(nd, Internal):
-            total += inst.beta[nd.key - 1] * (nd.level + 1)
+            total += beta[nd.key - 1] * (nd.level + 1)
             n_keys += 1
         else:
-            total += inst.alpha[nd.gap] * nd.level
+            total += alpha[nd.gap] * nd.level
             n_gaps += 1
     if n_keys != inst.n or n_gaps != inst.n + 1:
         raise InstanceError(
             f"tree has {n_keys} keys / {n_gaps} gaps, instance expects "
             f"{inst.n} / {inst.n + 1}"
         )
-    return total
+    return Fraction(total, d)
 
 
 def tree_to_obj(root: Node) -> dict:

@@ -2,7 +2,9 @@
 
 None of these share solver code paths: exhaustive shape enumeration, a
 plain cubic unrestricted interval DP, and an interval-times-height-budget
-DP in the style of the classical height-restricted algorithms.
+DP in the style of the classical height-restricted algorithms. They share
+only the weight scaling, ProblemInstance.integer_weights(), which the
+tests check against the rational weights directly.
 """
 
 from __future__ import annotations
@@ -72,13 +74,6 @@ def shape_height(shape: TreeShape) -> int:
     return 1 + max(shape_height(shape[1]), shape_height(shape[2]))
 
 
-def _scaled_weights(inst: ProblemInstance):
-    denom = inst.common_denominator()
-    alpha = [int(a * denom) for a in inst.alpha]
-    beta = [int(b * denom) for b in inst.beta]
-    return denom, alpha, beta
-
-
 def _interval_weight_fn(alpha, beta):
     """w(i, j): total weight of keys i..j plus their bounding gaps.
 
@@ -121,18 +116,19 @@ def brute_force_optimum(inst: ProblemInstance, max_height: int) -> Solution:
             tree=External(gap=0, level=0),
             h_max=max_height,
         )
-    denom, alpha, beta = _scaled_weights(inst)
+    denom, alpha, beta = inst.integer_weights()
     w = _interval_weight_fn(alpha, beta)
 
-    # Exhaustive (cost, height) per shape, in enumeration order per interval.
-    # Vectorized when every cost fits int64; exact big-int fallback otherwise.
-    use_numpy = (n + 1) * w(1, n) < 1 << 62
+    # Exhaustive (cost, height) per shape, in enumeration order per interval,
+    # as NumPy arrays: costs in int64 when every cost fits, else in exact
+    # Python ints (object dtype).
+    dtype = np.int64 if (n + 1) * w(1, n) < 1 << 62 else object
 
     memo = {}
 
     def lists(i, j):
         if i > j:
-            return (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+            return (np.zeros(1, dtype=dtype), np.zeros(1, dtype=np.int64))
         got = memo.get((i, j))
         if got is None:
             wij = w(i, j)
@@ -145,40 +141,14 @@ def brute_force_optimum(inst: ProblemInstance, max_height: int) -> Solution:
             got = memo[(i, j)] = (np.concatenate(costs), np.concatenate(heights))
         return got
 
-    def lists_exact(i, j):
-        if i > j:
-            return ((0, 0),)
-        got = memo.get((i, j))
-        if got is None:
-            wij = w(i, j)
-            got = memo[(i, j)] = tuple(
-                (cl + cr + wij, 1 + max(hl, hr))
-                for r in range(i, j + 1)
-                for (cl, hl) in lists_exact(i, r - 1)
-                for (cr, hr) in lists_exact(r + 1, j)
-            )
-        return got
-
-    if use_numpy:
-        costs, heights = lists(1, n)
-        mask = heights <= max_height
-        if not mask.any():
-            raise InfeasibleHeightError(
-                f"no tree of height <= {max_height} exists for n = {n}"
-            )
-        best_cost = int(costs[mask].min())
-        winner = int(np.flatnonzero(mask & (costs == best_cost))[0])
-    else:
-        best_cost = None
-        winner = None
-        for idx, (cost, height) in enumerate(lists_exact(1, n)):
-            if height <= max_height and (best_cost is None or cost < best_cost):
-                best_cost = cost
-                winner = idx
-        if winner is None:
-            raise InfeasibleHeightError(
-                f"no tree of height <= {max_height} exists for n = {n}"
-            )
+    costs, heights = lists(1, n)
+    mask = heights <= max_height
+    if not mask.any():
+        raise InfeasibleHeightError(
+            f"no tree of height <= {max_height} exists for n = {n}"
+        )
+    best_cost = int(costs[mask].min())
+    winner = int(np.flatnonzero(mask & (costs == best_cost))[0])
 
     tree = shape_to_tree(shape_at_index(1, n, winner), n)
     return Solution(
@@ -225,7 +195,7 @@ def knuth_unrestricted(inst: ProblemInstance) -> Solution:
             tree=External(gap=0, level=0),
             h_max=0,
         )
-    denom, alpha, beta = _scaled_weights(inst)
+    denom, alpha, beta = inst.integer_weights()
     w = _interval_weight_fn(alpha, beta)
 
     # e[i][j]: optimal wpl of a subtree over keys i..j rooted at relative level 0
@@ -276,7 +246,7 @@ def height_restricted_dp(inst: ProblemInstance, max_height: int) -> Solution:
             tree=External(gap=0, level=0),
             h_max=max_height,
         )
-    denom, alpha, beta = _scaled_weights(inst)
+    denom, alpha, beta = inst.integer_weights()
     w = _interval_weight_fn(alpha, beta)
 
     # best[(i, j, h)]: optimal cost over keys i..j with every external of

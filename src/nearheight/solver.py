@@ -4,9 +4,12 @@ Stage nu places key k_nu on a level; states are rightmost-path bit masks.
 solve() runs one NumPy kernel over the closed-form decision sets of
 states.decision_table, in int64 or, when values could overflow it, in
 exact Python ints, for height bounds up to _KERNEL_MAX_WIDTH. The
-dict-based backward_pass/forward_pass is the reference the tests compare it
-with; solve() never calls it. Both use exact arithmetic and break value
-ties toward the smallest level, with bit-identical results.
+dict-based backward_pass/forward_pass over the reachable sets of
+states.StageSets is the reference the tests compare it with; solve() never
+calls it. Both compute exactly on ProblemInstance.integer_weights() and
+break value ties toward the smallest level, with bit-identical results.
+solve() checks the kernel's cost against the weighted path length of the
+rebuilt tree, which is summed over the same integers.
 """
 
 from __future__ import annotations
@@ -116,14 +119,6 @@ def solution_from_obj(obj: dict) -> "Solution":
     )
 
 
-def _integer_weights(inst: ProblemInstance) -> Tuple[int, List[int], List[int]]:
-    """(d, alpha * d, beta * d) for the common denominator d, as ints."""
-    denom = inst.common_denominator()
-    alpha = [w.numerator * (denom // w.denominator) for w in inst.alpha]
-    beta = [w.numerator * (denom // w.denominator) for w in inst.beta]
-    return denom, alpha, beta
-
-
 def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
     """Solve the Bellman equation over all reachable states, stage n down
     to 1. Dead states keep V = inf and no policy entry."""
@@ -136,7 +131,7 @@ def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
     sets = st.StageSets(n, h_max)
 
     # exact integer arithmetic over the common denominator; None marks inf
-    denom, alpha_i, beta_i = _integer_weights(inst)
+    denom, alpha_i, beta_i = inst.integer_weights()
 
     values: List[dict] = [None] * (n + 1)
     policies: List[dict] = [None] * n
@@ -213,7 +208,7 @@ def _kernel_pass(
             f"height bound {h_max} above the kernel's width limit {_KERNEL_MAX_WIDTH}"
         )
     n = inst.n
-    denom, alpha, beta = _integer_weights(inst)
+    denom, alpha, beta = inst.integer_weights()
     # Every finite value is at most `bound`, so `dead` (infinity) sits above
     # them all; a value that involves a dead state is at most dead + bound.
     bound = (h_max + 1) * (sum(alpha) + sum(beta))

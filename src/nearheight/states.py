@@ -69,24 +69,11 @@ def state_to_bits(s: int, h_max: int) -> str:
     return "".join("1" if (s >> i) & 1 else "0" for i in range(h_max))
 
 
-def successors(states, h_max: int):
-    """Sorted list of states reachable in one step from any state in
-    `states`."""
-    out = set()
-    for s in states:
-        for a in range(h_max):
-            if is_feasible(s, a):
-                out.add((s & ((1 << a) - 1)) | (1 << a))
-    return sorted(out)
-
-
 def enumerate_reachable(n: int, h_max: int) -> List[List[int]]:
-    """State sets S_1..S_{n+1} reachable from the all-zero state.
-
-    S_{nu+1} is the image of S_nu under all feasible transitions.
-    """
+    """State sets S_1..S_{n+1} reachable from the all-zero state, as
+    sorted lists (see StageSets)."""
     sets = StageSets(n, h_max)
-    return [list(sets.states(nu)) for nu in range(1, n + 2)]
+    return [sets.states(nu) for nu in range(1, n + 2)]
 
 
 class DecisionTable(NamedTuple):
@@ -175,23 +162,25 @@ def stage_counts(n: int, h_max: int):
 
 
 class StageSets:
-    """Reachable state sets S_1..S_{n+1}: S_1 holds the all-zero state and
-    S_{nu+1} = successors(S_nu)."""
+    """Reachable state sets S_1..S_{n+1} from the all-zero state.
+
+    S_nu holds the states s with min_keys[s] <= nu-1 <= max_keys[s] of
+    capacity_profile, which is the image of S_{nu-1} under all feasible
+    transitions (S_1 = {0}).
+    """
 
     def __init__(self, n: int, h_max: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         if h_max < h_min(n):
             raise ValueError(f"h_max {h_max} below h_min({n}) = {h_min(n)}")
-        _check_width(h_max)
         self.n = n
         self.h_max = h_max
-        self._sets: List[list] = [[0]]
-        for _ in range(n):
-            self._sets.append(successors(self._sets[-1], h_max))
+        self._min_keys, self._max_keys, _ = capacity_profile(h_max)
 
     def states(self, nu: int) -> list:
         """Sorted state list of S_nu."""
         if not 1 <= nu <= self.n + 1:
             raise ValueError(f"stage {nu} outside 1..{self.n + 1}")
-        return self._sets[nu - 1]
+        m = nu - 1
+        return np.flatnonzero((self._min_keys <= m) & (m <= self._max_keys)).tolist()

@@ -42,6 +42,11 @@ def test_state_stats_rejects_zero():
         state_stats(0, 0)
 
 
+def test_state_stats_rejects_negative_delta():
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        state_stats(4, -1)
+
+
 @pytest.mark.parametrize("n", [3, 17, 64, 100])
 @pytest.mark.parametrize("delta", [0, 1, 2])
 def test_theorem_flags_hold(n, delta):
@@ -68,6 +73,11 @@ def test_run_scaling_rejects_unsorted():
         run_scaling([40, 20], delta=0)
     with pytest.raises(ValueError):
         run_scaling([], delta=0)
+
+
+def test_run_scaling_rejects_zero_reps():
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        run_scaling([10], delta=0, reps=0)
 
 
 def test_report_serialization_round_trip():

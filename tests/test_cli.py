@@ -193,6 +193,21 @@ def test_stats_command(capsys):
     assert max(obj["state_counts"]) <= 10
 
 
+@pytest.mark.parametrize("n,delta", [("4", "-1"), ("20", "-2")])
+def test_stats_rejects_negative_delta(n, delta, capsys):
+    code, out, err = run(["stats", "--n", n, "--delta", delta], capsys)
+    assert code == 1
+    assert out == ""
+    assert "delta must be nonnegative" in err
+
+
+def test_bench_rejects_zero_reps(capsys):
+    code, out, err = run(["bench", "--sizes", "10", "--reps", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "reps must be >= 1" in err
+
+
 def test_bench_ndjson(capsys):
     code, out, err = run(
         ["bench", "--sizes", "10,20", "--delta", "0", "--reps", "1", "--seed", "2"],

@@ -83,6 +83,29 @@ def test_validate_negative_weight():
     assert any("negative" in p for p in inst.validate())
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        generate_random_instance(30, 5),
+        generate_random_instance(30, 5, dist="zipf"),
+        generate_random_instance(12, 8, zero_alpha=True),
+        ProblemInstance(
+            beta=(Fraction(3, 16), Fraction(2, 7), Fraction(5), Fraction(1, 2**70 + 1)),
+            alpha=(Fraction(0), Fraction(1, 6), Fraction(9, 10), Fraction(4, 15), Fraction(7, 12)),
+        ),
+        ProblemInstance(beta=(Fraction(0),), alpha=(Fraction(0), Fraction(0))),
+    ],
+    ids=["uniform", "zipf", "zero-alpha", "mixed", "all-zero"],
+)
+def test_integer_weights_scale_exactly(inst):
+    d, alpha, beta = inst.integer_weights()
+    assert d == math.lcm(*(w.denominator for w in inst.beta + inst.alpha))
+    assert len(alpha) == inst.n + 1 and len(beta) == inst.n
+    for x, w in zip(alpha + beta, inst.alpha + inst.beta):
+        assert type(x) is int
+        assert Fraction(x, d) == w
+
+
 def golden_tree():
     return build_tree_from_decisions(DecisionSequence(levels=(1, 2, 0, 1), h_max=3), 4)
 

@@ -79,6 +79,28 @@ def test_brute_force_matches_naive_enumeration():
         assert brute_force_optimum(inst, max_height).cost == naive_best
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_brute_force_exact_beyond_int64(n):
+    """Weights whose scaled costs exceed int64 run on exact Python ints and
+    still match the naive minimum and solve() at every height bound."""
+    base = generate_random_instance(n, 17 * n)
+    inst = ProblemInstance(
+        beta=tuple(b + Fraction(1, 2**70 + 1) for b in base.beta),
+        alpha=tuple(a * 2**65 for a in base.alpha),
+    )
+    _, alpha, beta = inst.integer_weights()
+    assert (n + 1) * (sum(alpha) + sum(beta)) >= 1 << 62
+    trees = [shape_to_tree(shape, n) for shape in enumerate_trees(n)]
+    for L in range(h_min(n), n + 1):
+        naive_best = min(
+            weighted_path_length(t, inst) for t in trees if tree_height(t) <= L
+        )
+        sol = brute_force_optimum(inst, L)
+        assert sol.cost == naive_best == solve(inst, L - h_min(n)).cost
+        assert tree_height(sol.tree) <= L
+        assert weighted_path_length(sol.tree, inst) == sol.cost
+
+
 def test_knuth_golden(golden_instance):
     assert knuth_unrestricted(golden_instance).cost == Fraction(25, 16)
 

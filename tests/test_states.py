@@ -19,6 +19,17 @@ from nearheight.states import (
 )
 
 
+def bfs_stage_sets(n, h_max):
+    """S_1..S_{n+1} by literal iteration: S_1 = {0} and S_{nu+1} holds every
+    state one feasible transition away from a state of S_nu."""
+    sets = [[0]]
+    for _ in range(n):
+        sets.append(
+            sorted({transition(s, a) for s in sets[-1] for a in feasible_decisions(s, h_max)})
+        )
+    return sets
+
+
 def bits(*levels):
     s = 0
     for i in levels:
@@ -164,25 +175,26 @@ def test_theorem_bounds_on_reachable_sets(n, delta):
 @pytest.mark.parametrize("n,h_max", [(1, 1), (4, 3), (4, 4), (9, 4), (16, 6), (25, 5), (31, 5)])
 def test_capacity_profile_matches_iteration(n, h_max):
     """The closed-form membership (popcount <= placed keys <= left-filled
-    capacity) reproduces the iterated reachable sets exactly."""
+    capacity), and StageSets built on it, reproduce the iterated reachable
+    sets exactly."""
     min_keys, max_keys, _ = capacity_profile(h_max)
     sets = StageSets(n, h_max)
-    for nu in range(1, n + 2):
+    for nu, iterated in enumerate(bfs_stage_sets(n, h_max), start=1):
         m = nu - 1
         formula = [
             s for s in range(1 << h_max) if min_keys[s] <= m <= max_keys[s]
         ]
-        assert sets.states(nu) == formula
+        assert formula == iterated
+        assert sets.states(nu) == iterated
 
 
 @pytest.mark.parametrize("n,h_max", [(1, 1), (5, 3), (12, 4), (40, 8), (64, 7)])
 def test_stage_counts_match_sets(n, h_max):
     sizes, sums = stage_counts(n, h_max)
-    sets = StageSets(n, h_max)
-    assert sizes == [len(sets.states(nu)) for nu in range(1, n + 2)]
+    sets = bfs_stage_sets(n, h_max)
+    assert sizes == [len(s_nu) for s_nu in sets]
     assert sums == [
-        sum(len(feasible_decisions(s, h_max)) for s in sets.states(nu))
-        for nu in range(1, n + 1)
+        sum(len(feasible_decisions(s, h_max)) for s in s_nu) for s_nu in sets[:n]
     ]
 
 

@@ -1,4 +1,9 @@
-"""Problem model: exact rational weights, instances, trees, weighted path length."""
+"""Problem model: exact rational weights, instances, trees, weighted path length.
+
+A tree is rebuilt from its decision sequence (the in-order key levels) by
+one replay of the decision process of the states module, and rendered as
+JSON, Graphviz DOT or text. Random instances are generated here too.
+"""
 
 from __future__ import annotations
 
@@ -281,34 +286,25 @@ def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:
     edges are emitted in in-order. Backslashes and double quotes in labels
     are escaped.
     """
-    lines = ["digraph bst {"]
-    for nd in inorder(root):
+    nodes, edges = [], []
+
+    def walk(nd, parent):
         if isinstance(nd, Internal):
+            ident = f"k{nd.key}"
+            walk(nd.left, ident)
             label = keys[nd.key - 1] if keys is not None else str(nd.key)
             label = label.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  k{nd.key} [shape=circle, label="{label}"];')
+            nodes.append(f'  {ident} [shape=circle, label="{label}"];')
         else:
-            lines.append(f'  g{nd.gap} [shape=box, label="({nd.gap})"];')
-
-    def node_id(nd):
-        return f"k{nd.key}" if isinstance(nd, Internal) else f"g{nd.gap}"
-
-    parent_of = {}
-
-    def collect(nd):
-        if isinstance(nd, Internal):
-            parent_of[id(nd.left)] = nd
-            parent_of[id(nd.right)] = nd
-            collect(nd.left)
-            collect(nd.right)
-
-    collect(root)
-    for nd in inorder(root):
-        parent = parent_of.get(id(nd))
+            ident = f"g{nd.gap}"
+            nodes.append(f'  {ident} [shape=box, label="({nd.gap})"];')
         if parent is not None:
-            lines.append(f"  {node_id(parent)} -> {node_id(nd)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            edges.append(f"  {parent} -> {ident};")
+        if isinstance(nd, Internal):
+            walk(nd.right, ident)
+
+    walk(root, None)
+    return "\n".join(["digraph bst {", *nodes, *edges, "}"]) + "\n"
 
 
 def tree_to_text(root: Node, keys: Optional[tuple] = None) -> str:
@@ -350,18 +346,20 @@ class DecisionSequence:
 def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
     """Build the unique tree whose in-order key levels equal the decisions.
 
-    Externals sit one level below the deeper of their neighbouring keys;
-    the boundary gaps 0 and n sit directly below keys 1 and n. Runs in O(n)
-    via a rightmost-path stack over the in-order level sequence.
+    Replays the decision process once: stage i checks that level ds[i-1]
+    is feasible in the current state, then links gap i-1 and key i onto a
+    stack that holds the keys of the current rightmost path, which are
+    exactly the set bits of the state. A gap sits one level below the deeper
+    of its neighbouring keys. A sequence the process accepts, ending in a
+    contiguous rightmost path, always forms a tree; any other raises
+    InfeasibleDecisionError with the failing stage (n+1 for the final state).
     """
     from . import states
 
     if len(ds) != n:
         raise InfeasibleDecisionError(f"need {n} decisions, got {len(ds)}")
-    if n == 0:
-        return External(gap=0, level=0)
-
-    s = states.initial_state(ds.h_max)
+    s = 0
+    stack = []
     for stage, a in enumerate(ds.levels, start=1):
         if not states.is_feasible(s, a):
             raise InfeasibleDecisionError(
@@ -369,46 +367,28 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
                 f"(state {states.state_to_bits(s, ds.h_max)})",
                 stage=stage,
             )
+        # keys deeper than a leave the rightmost path: with the gap they
+        # form the left subtree of key `stage`
+        node = External(gap=stage - 1, level=1 + max(states.precdec(s), a))
+        while stack and stack[-1].level > a:
+            stack[-1].right = node
+            node = stack.pop()
+        key = Internal(key=stage, level=a, left=node, right=None)
+        if stack:
+            stack[-1].right = key
+        stack.append(key)
         s = states.transition(s, a)
-    if not states.is_terminal_valid(s):
+    if stack and not states.is_terminal_valid(s):
         raise InfeasibleDecisionError(
             f"final state {states.state_to_bits(s, ds.h_max)} is not a valid "
             "rightmost path",
             stage=n + 1,
         )
-
-    b = ds.levels
-    seq = [External(gap=0, level=b[0] + 1)]
-    for i in range(n):
-        seq.append(Internal(key=i + 1, level=b[i], left=None, right=None))
-        if i + 1 < n:
-            seq.append(External(gap=i + 1, level=1 + max(b[i], b[i + 1])))
-    seq.append(External(gap=n, level=b[n - 1] + 1))
-
-    stack = []
-    for nd in seq:
-        last = None
-        while stack and stack[-1].level > nd.level:
-            last = stack.pop()
-        if isinstance(nd, Internal):
-            nd.left = last
-        elif last is not None:
-            raise InfeasibleDecisionError("level sequence does not form a tree")
-        if stack:
-            stack[-1].right = nd
-        stack.append(nd)
-    root = stack[0]
-
-    # depth must reproduce the stored level at every node
-    def check(nd, depth):
-        if nd is None or nd.level != depth:
-            raise InfeasibleDecisionError("level sequence does not form a tree")
-        if isinstance(nd, Internal):
-            check(nd.left, depth + 1)
-            check(nd.right, depth + 1)
-
-    check(root, 0)
-    return root
+    node = External(gap=n, level=len(stack))
+    while stack:
+        stack[-1].right = node
+        node = stack.pop()
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +416,7 @@ def generate_random_instance(
         beta = tuple(Fraction(rng.randint(1, 1000), denom) for _ in range(n))
         alpha = tuple(Fraction(rng.randint(1, 1000), denom) for _ in range(n + 1))
     elif dist == "zipf":
-        denom = lcm(*range(1, n + 2)) if n >= 1 else 1
+        denom = lcm(*range(1, n + 2))
         key_ranks = list(range(1, n + 1))
         gap_ranks = list(range(1, n + 2))
         rng.shuffle(key_ranks)

@@ -109,13 +109,6 @@ def brute_force_optimum(inst: ProblemInstance, max_height: int) -> Solution:
         raise InfeasibleHeightError(
             f"no tree of height <= {max_height} exists for n = {n}"
         )
-    if n == 0:
-        return Solution(
-            cost=Fraction(0),
-            decisions=DecisionSequence(levels=(), h_max=max(max_height, 1)),
-            tree=External(gap=0, level=0),
-            h_max=max_height,
-        )
     denom, alpha, beta = inst.integer_weights()
     w = _interval_weight_fn(alpha, beta)
 
@@ -188,13 +181,6 @@ def knuth_unrestricted(inst: ProblemInstance) -> Solution:
     root splitting (no monotonicity speedup)."""
     inst.require_valid()
     n = inst.n
-    if n == 0:
-        return Solution(
-            cost=Fraction(0),
-            decisions=DecisionSequence(levels=(), h_max=1),
-            tree=External(gap=0, level=0),
-            h_max=0,
-        )
     denom, alpha, beta = inst.integer_weights()
     w = _interval_weight_fn(alpha, beta)
 
@@ -238,13 +224,6 @@ def height_restricted_dp(inst: ProblemInstance, max_height: int) -> Solution:
     if max_height < h_min(n):
         raise InfeasibleHeightError(
             f"no tree of height <= {max_height} exists for n = {n}"
-        )
-    if n == 0:
-        return Solution(
-            cost=Fraction(0),
-            decisions=DecisionSequence(levels=(), h_max=max(max_height, 1)),
-            tree=External(gap=0, level=0),
-            h_max=max_height,
         )
     denom, alpha, beta = inst.integer_weights()
     w = _interval_weight_fn(alpha, beta)

@@ -3,13 +3,14 @@
 Stage nu places key k_nu on a level; states are rightmost-path bit masks.
 solve() runs one NumPy kernel over the closed-form decision sets of
 states.decision_table, in int64 or, when values could overflow it, in
-exact Python ints, for height bounds up to _KERNEL_MAX_WIDTH. The
+exact Python ints, for height bounds up to states.TABLE_MAX_WIDTH. The
 dict-based backward_pass/forward_pass over the reachable sets of
 states.StageSets is the reference the tests compare it with; solve() never
 calls it. Both compute exactly on ProblemInstance.integer_weights() and
 break value ties toward the smallest level, with bit-identical results.
-solve() checks the kernel's cost against the weighted path length of the
-rebuilt tree, which is summed over the same integers.
+solve() rebuilds the tree with build_tree_from_decisions, which replays the
+decisions through the state machine once, and checks the kernel's cost
+against the tree's weighted path length, summed over the same integers.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ CostValue = Union[Fraction, float]  # Fraction, or math.inf for dead states
 
 INFINITY = inf
 
-# The kernel's tables hold 2^h_max slots per stage and its policy table n of
-# them: at width 24, n = 24 peaks at about 1.4 GB RSS.
-_KERNEL_MAX_WIDTH = 24
 # The kernel packs each candidate as value << _LEVEL_BITS | level, so one
 # minimum finds the lowest value and, among equal values, the smallest level.
 _LEVEL_BITS = 5
@@ -201,12 +199,9 @@ def _kernel_pass(
     every state of the width, reachable or not, which leaves the values of
     reachable states unchanged. Values are integers over the common
     denominator: int64 when every packed value fits, exact Python ints
-    ("object") otherwise.
+    ("object") otherwise. A width above states.TABLE_MAX_WIDTH raises
+    ValueError before any table is built.
     """
-    if h_max > _KERNEL_MAX_WIDTH:
-        raise ValueError(
-            f"height bound {h_max} above the kernel's width limit {_KERNEL_MAX_WIDTH}"
-        )
     n = inst.n
     denom, alpha, beta = inst.integer_weights()
     # Every finite value is at most `bound`, so `dead` (infinity) sits above
@@ -273,7 +268,7 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
 
     The bound is clamped to n, the height of the tallest tree on n keys, and
     the Solution reports the clamped bound. A clamped bound above
-    _KERNEL_MAX_WIDTH raises ValueError before any table is built.
+    states.TABLE_MAX_WIDTH raises ValueError before any table is built.
     """
     inst.require_valid()
     if delta < 0:

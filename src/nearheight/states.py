@@ -1,7 +1,10 @@
 """Rightmost-path occupancy states encoded as fixed-width bit masks.
 
 Bit i of a state records whether level i of the rightmost path currently
-holds a key (level 0 = least significant bit).
+holds a key (level 0 = least significant bit). The scalar functions take
+widths up to MAX_WIDTH; the tables over all 2^h_max states (decision_table,
+capacity_profile, and the StageSets and stage_counts built on it) refuse
+widths above TABLE_MAX_WIDTH before allocating anything.
 """
 
 from __future__ import annotations
@@ -13,15 +16,26 @@ import numpy as np
 from .instance import h_min
 
 MAX_WIDTH = 62
+# A table holds 2^h_max slots; the solver's kernel keeps n of them as its
+# policy, and at width 24, n = 24 peaks at about 1.4 GB RSS.
+TABLE_MAX_WIDTH = 24
 
 
 class WidthError(ValueError):
-    """State width outside 1..MAX_WIDTH."""
+    """State width outside 1..MAX_WIDTH, or a table wider than TABLE_MAX_WIDTH."""
 
 
 def _check_width(h_max: int):
     if not 1 <= h_max <= MAX_WIDTH:
         raise WidthError(f"h_max must be in 1..{MAX_WIDTH}, got {h_max}")
+
+
+def _check_table_width(h_max: int):
+    _check_width(h_max)
+    if h_max > TABLE_MAX_WIDTH:
+        raise WidthError(
+            f"height bound {h_max} above the table width limit {TABLE_MAX_WIDTH}"
+        )
 
 
 def initial_state(h_max: int) -> int:
@@ -88,16 +102,14 @@ class DecisionTable(NamedTuple):
     top: np.ndarray  # p = precdec(s), -1 for s = 0
     shallow: np.ndarray  # q-1, or -1 when s has no level below p (int8)
     shallow_next: np.ndarray  # transition(s, q-1), or 2^h_max when none
-    degree: np.ndarray  # |D(s)|
 
 
 _TABLE_CACHE = {}
-_PROFILE_CACHE = {}
 
 
 def decision_table(h_max: int) -> DecisionTable:
     """The DecisionTable of width h_max, built once per width."""
-    _check_width(h_max)
+    _check_table_width(h_max)
     cached = _TABLE_CACHE.get(h_max)
     if cached is not None:
         return cached
@@ -112,8 +124,7 @@ def decision_table(h_max: int) -> DecisionTable:
     has = shallow >= 0
     low = np.where(has, 1 << np.maximum(shallow, 0), 0)
     shallow_next = np.where(has, (s & (low - 1)) | low, size)
-    degree = has + (h_max - 1 - top)
-    table = DecisionTable(top, shallow.astype(np.int8), shallow_next, degree)
+    table = DecisionTable(top, shallow.astype(np.int8), shallow_next)
     _TABLE_CACHE[h_max] = table
     return table
 
@@ -125,12 +136,10 @@ def capacity_profile(h_max: int):
     popcount(s) <= m <= sum over set bits i of 2^(h_max-1-i):
     the lower end places one key per occupied rightmost-path level, the
     upper end additionally fills every left subtree hanging off that path.
-    Returns (min_keys, max_keys, degree) as int64 arrays indexed by state.
+    The degree |D(s)| is read off the DecisionTable. Returns
+    (min_keys, max_keys, degree) as int64 arrays indexed by state.
     """
-    _check_width(h_max)
-    cached = _PROFILE_CACHE.get(h_max)
-    if cached is not None:
-        return cached
+    _check_table_width(h_max)
     s = np.arange(1 << h_max, dtype=np.int64)
     min_keys = np.zeros_like(s)
     max_keys = np.zeros_like(s)
@@ -138,9 +147,8 @@ def capacity_profile(h_max: int):
         bit = (s >> i) & 1
         min_keys += bit
         max_keys += bit << (h_max - 1 - i)
-    profile = (min_keys, max_keys, decision_table(h_max).degree)
-    _PROFILE_CACHE[h_max] = profile
-    return profile
+    tab = decision_table(h_max)
+    return min_keys, max_keys, (tab.shallow >= 0) + (h_max - 1 - tab.top)
 
 
 def stage_counts(n: int, h_max: int):

@@ -201,6 +201,15 @@ def test_stats_rejects_negative_delta(n, delta, capsys):
     assert "delta must be nonnegative" in err
 
 
+def test_stats_refuses_wide_table(capsys):
+    # h = min(h_min(100) + 40, 100) = 47: a 2^47-state table is refused
+    code, out, err = run(["stats", "--n", "100", "--delta", "40"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "height bound 47 above" in err
+    assert "Traceback" not in err
+
+
 def test_bench_rejects_zero_reps(capsys):
     code, out, err = run(["bench", "--sizes", "10", "--reps", "0"], capsys)
     assert code == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -297,6 +298,41 @@ def test_dot_export_uses_key_labels():
     assert 'label="c"' in out
 
 
+GOLDEN_DOT = r"""digraph bst {
+  g0 [shape=box, label="(0)"];
+  k1 [shape=circle, label="%s"];
+  g1 [shape=box, label="(1)"];
+  k2 [shape=circle, label="%s"];
+  g2 [shape=box, label="(2)"];
+  k3 [shape=circle, label="%s"];
+  g3 [shape=box, label="(3)"];
+  k4 [shape=circle, label="%s"];
+  g4 [shape=box, label="(4)"];
+  k1 -> g0;
+  k3 -> k1;
+  k2 -> g1;
+  k1 -> k2;
+  k2 -> g2;
+  k4 -> g3;
+  k3 -> k4;
+  k4 -> g4;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "keys,labels",
+    [
+        (None, ("1", "2", "3", "4")),
+        (("a", 'b"c', "d\\", "e"), ("a", r'b\"c', r"d\\", "e")),
+    ],
+    ids=["plain", "escaped"],
+)
+def test_dot_export_golden_bytes(keys, labels):
+    """Nodes in in-order, then each node's incoming edge in in-order."""
+    assert tree_to_dot(golden_tree(), keys) == GOLDEN_DOT % labels
+
+
 def test_dot_export_escapes_labels():
     out = tree_to_dot(golden_tree(), ("a", 'b"c', "d\\", "e"))
     assert 'k2 [shape=circle, label="b\\"c"];' in out
@@ -304,5 +340,39 @@ def test_dot_export_escapes_labels():
 
 
 def test_empty_tree():
-    root = build_tree_from_decisions(DecisionSequence(levels=(), h_max=1), 0)
-    assert isinstance(root, External) and root.level == 0 and root.gap == 0
+    for h_max in (0, 1):
+        root = build_tree_from_decisions(DecisionSequence(levels=(), h_max=h_max), 0)
+        assert root == External(gap=0, level=0)
+
+
+def test_build_tree_exhaustive():
+    """Every sequence in {0..h-1}^n for n <= 7 and h_min(n) <= h <= min(n, 4)
+    builds a tree iff it is the key-level sequence of a tree of height <= h;
+    every other sequence is refused at a stage in 1..n+1."""
+    from nearheight.oracles import enumerate_trees, shape_height, shape_to_tree
+
+    def check_depths(nd, depth):
+        assert nd.level == depth
+        if isinstance(nd, Internal):
+            check_depths(nd.left, depth + 1)
+            check_depths(nd.right, depth + 1)
+
+    swept = accepted = 0
+    for n in range(1, 8):
+        shapes = [(shape_height(sh), shape_to_tree(sh, n)) for sh in enumerate_trees(n)]
+        for h in range(h_min(n), min(n, 4) + 1):
+            trees = {key_levels(t) for height, t in shapes if height <= h}
+            for levels in itertools.product(range(h), repeat=n):
+                swept += 1
+                try:
+                    root = build_tree_from_decisions(DecisionSequence(levels, h), n)
+                except InfeasibleDecisionError as e:
+                    assert levels not in trees
+                    assert 1 <= e.stage <= n + 1
+                    continue
+                accepted += 1
+                assert levels in trees
+                check_depths(root, 0)
+                assert key_levels(root) == levels
+                assert tree_height(root) <= h
+    assert (swept, accepted) == (25_040, 179)

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from nearheight import ProblemInstance, generate_random_instance, h_min, solve
+from nearheight import (
+    External,
+    ProblemInstance,
+    build_tree_from_decisions,
+    generate_random_instance,
+    h_min,
+    solve,
+)
 from nearheight.instance import tree_height, weighted_path_length
 from nearheight.oracles import (
     MAX_ENUM_KEYS,
@@ -172,6 +179,11 @@ def test_three_way_agreement_sample():
 
 def test_oracles_handle_empty_instance():
     inst = ProblemInstance(beta=(), alpha=(Fraction(1, 2),))
-    assert brute_force_optimum(inst, 1).cost == 0
-    assert knuth_unrestricted(inst).cost == 0
-    assert height_restricted_dp(inst, 1).cost == 0
+    sols = [knuth_unrestricted(inst)]
+    for max_height in (0, 1, 3):
+        sols += [brute_force_optimum(inst, max_height), height_restricted_dp(inst, max_height)]
+    for sol in sols:
+        assert sol.cost == 0
+        assert sol.tree == External(gap=0, level=0)
+        assert sol.decisions.levels == ()
+        assert build_tree_from_decisions(sol.decisions, 0) == sol.tree

@@ -254,9 +254,17 @@ def test_numpy_engine_never_falls_back(monkeypatch):
 
 
 def test_engine_selection_by_width(monkeypatch, golden_instance):
-    monkeypatch.setattr(solver, "_KERNEL_MAX_WIDTH", 2)
+    monkeypatch.setattr(solver.st, "TABLE_MAX_WIDTH", 2)
     with pytest.raises(ValueError, match="height bound 3 above"):
         solve(golden_instance, 0)
+
+
+def test_reference_pass_refuses_wide_tables():
+    inst = generate_random_instance(40, 1)
+    with pytest.raises(ValueError, match="height bound 40 above"):
+        backward_pass(inst, 40)
+    with pytest.raises(ValueError, match="height bound 40 above"):
+        solve(inst, 40)
 
 
 def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):

@@ -210,12 +210,25 @@ def test_decision_table_closed_form(h_max):
     and q the lowest bit of the run of set bits ending at p, equals the
     literal feasibility test on every state."""
     tab = decision_table(h_max)
+    _, _, degree = capacity_profile(h_max)
     for s in range(1 << h_max):
         shallow = int(tab.shallow[s])
         closed = ([shallow] if shallow >= 0 else []) + list(range(int(tab.top[s]) + 1, h_max))
         assert closed == feasible_decisions(s, h_max), bin(s)
-        assert tab.degree[s] == len(closed)
+        assert degree[s] == len(closed)
         if shallow >= 0:
             assert tab.shallow_next[s] == transition(s, shallow)
         else:
             assert tab.shallow_next[s] == 1 << h_max
+
+
+@pytest.mark.parametrize("h_max", [40, 62])
+def test_tables_refuse_wide_widths(h_max):
+    """Every table over all 2^h_max states refuses a width above 24 before
+    allocating; the scalar functions still take widths up to 62."""
+    for build in (decision_table, capacity_profile, lambda h: stage_counts(100, h)):
+        with pytest.raises(WidthError, match=f"height bound {h_max} above"):
+            build(h_max)
+    with pytest.raises(ValueError, match=f"height bound {h_max} above"):
+        StageSets(40, h_max)
+    assert feasible_decisions(0, h_max) == list(range(h_max))

@@ -1,6 +1,7 @@
 """The traced benchmark run (perfbench/run.py --trace 1) wraps nearheight
 functions by name and reports a per-layer metric as `absent` when a name
-is missing. This test fails on such a rename instead."""
+is missing, and reads a name that solve() never calls as 0. These tests
+fail on either instead."""
 
 import importlib.util
 import sys
@@ -49,3 +50,23 @@ def test_every_wrapped_name_resolves(run_module):
     for path, attr, span in run_module.WRAPPED:
         assert callable(resolve(path, attr)), span
 
+
+
+def test_solve_calls_rebuild_and_check_once(monkeypatch, golden_instance):
+    """The trace times the rebuild and the cost check through these two
+    module names; a solve() that bypassed them would read as 0 there."""
+    calls = {}
+
+    def counted(name):
+        real = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    counted("build_tree_from_decisions")
+    counted("weighted_path_length")
+    solver.solve(golden_instance, 0)
+    assert calls == {"build_tree_from_decisions": 1, "weighted_path_length": 1}

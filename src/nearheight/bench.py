@@ -2,7 +2,8 @@
 
 Relaxation counts (sum of |D(s)| over the reachable states of every stage)
 are deterministic and machine independent; wall clock is recorded for
-human inspection only.
+human inspection only. Counts are taken at solve()'s height bound,
+instance.height_bound(n, delta).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .instance import format_weight, generate_random_instance, h_min
+from .instance import format_weight, generate_random_instance, height_bound
 from .solver import solve
 from . import states
 
@@ -90,13 +91,9 @@ def report_to_csv_row(r: RunReport) -> str:
 
 
 def state_stats(n: int, delta: int) -> RunReport:
-    """Reachable-state and decision-set counts only, no solve; the height
-    bound is clamped to n as in solve()."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    sizes, sums = states.stage_counts(n, min(h_min(n) + delta, n))
+    """Reachable-state and decision-set counts only, no solve, at the height
+    bound solve() uses (instance.height_bound)."""
+    sizes, sums = states.stage_counts(n, height_bound(n, delta))
     return RunReport(
         n=n,
         delta=delta,

@@ -2,7 +2,8 @@
 
 A tree is rebuilt from its decision sequence (the in-order key levels) by
 one replay of the decision process of the states module, and rendered as
-JSON, Graphviz DOT or text. Random instances are generated here too.
+JSON, Graphviz DOT or text. Random instances and height_bound, the height
+bound of solve() and bench, are here too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def h_min(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return n.bit_length()
+
+
+def height_bound(n: int, delta: int) -> int:
+    """The height bound h_min(n) + delta, clamped to n, the height of the
+    tallest tree on n keys. A negative delta raises ValueError."""
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    return min(h_min(n) + delta, n)
 
 
 _WEIGHT_RE = re.compile(r"^(\d+)(?:/(\d+))?$")

@@ -3,11 +3,12 @@
 Stage nu places key k_nu on a level; states are rightmost-path bit masks.
 solve() runs one NumPy kernel over the closed-form decision sets of
 states.decision_table, in int64 or, when values could overflow it, in
-exact Python ints, for height bounds up to states.TABLE_MAX_WIDTH. The
-dict-based backward_pass/forward_pass over the reachable sets of
-states.StageSets is the reference the tests compare it with; solve() never
-calls it. Both compute exactly on ProblemInstance.integer_weights() and
-break value ties toward the smallest level, with bit-identical results.
+exact Python ints, for height bounds (instance.height_bound) up to
+states.TABLE_MAX_WIDTH. The dict-based backward_pass/forward_pass over the
+reachable sets of states.StageSets is the reference the tests compare it
+with; solve() never calls it. Both compute exactly on
+ProblemInstance.integer_weights() and break value ties toward the smallest
+level, with bit-identical results.
 solve() rebuilds the tree with build_tree_from_decisions, which replays the
 decisions through the state machine once, and checks the kernel's cost
 against the tree's weighted path length, summed over the same integers.
@@ -24,12 +25,12 @@ import numpy as np
 
 from .instance import (
     DecisionSequence,
-    External,
     Node,
     ProblemInstance,
     build_tree_from_decisions,
     format_weight,
     h_min,
+    height_bound,
     tree_height,
     tree_to_obj,
     weighted_path_length,
@@ -110,7 +111,7 @@ def solution_from_obj(obj: dict) -> "Solution":
     return Solution(
         cost=parse_weight(obj["wpl"]),
         decisions=DecisionSequence(
-            levels=tuple(obj["decisions"]), h_max=max(obj["h_max"], 1)
+            levels=tuple(obj["decisions"]), h_max=obj["h_max"]
         ),
         tree=tree_from_obj(obj["tree"]),
         h_max=obj["h_max"],
@@ -122,10 +123,6 @@ def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
     to 1. Dead states keep V = inf and no policy entry."""
     inst.require_valid()
     n = inst.n
-    if n < 1:
-        raise ValueError("backward_pass needs n >= 1")
-    if h_max < h_min(n):
-        raise ValueError(f"h_max {h_max} below h_min({n}) = {h_min(n)}")
     sets = st.StageSets(n, h_max)
 
     # exact integer arithmetic over the common denominator; None marks inf
@@ -174,7 +171,7 @@ def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
 def forward_pass(tables: StageTables) -> Tuple[CostValue, DecisionSequence]:
     """Walk the stored policy from the all-zero state, collecting decisions."""
     n = len(tables.policies)
-    s = st.initial_state(tables.h_max)
+    s = 0
     cost = tables.values[0][s]
     if cost == INFINITY:
         raise InfeasibleHeightError("no feasible tree within the height bound")
@@ -215,9 +212,11 @@ def _kernel_pass(
     tab = st.decision_table(h_max)
     # The shallow decision q-1 of state s costs (1+p)*alpha + q*beta. Pair
     # (1+p, q) has index (1+p)*(h_max+1) + q; index 0 (cost 0, level 0)
-    # stands for states without a shallow decision.
+    # stands for states without a shallow decision. The cached top is int8,
+    # where (1+p)*(h_max+1) would wrap from h_max = 11 on: widen it first.
     width = h_max + 1
-    pair = np.where(tab.shallow >= 0, (tab.top + 1) * width + tab.shallow + 1, 0)
+    top = tab.top.astype(np.int64)
+    pair = np.where(tab.shallow >= 0, (top + 1) * width + tab.shallow + 1, 0)
     gap_coef, key_coef = np.divmod(np.arange(width * width), width)
     gap_coef, key_coef = gap_coef.astype(dtype), key_coef.astype(dtype)
     level = np.maximum(key_coef - 1, 0)
@@ -266,25 +265,18 @@ def _kernel_pass(
 def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
     """Optimal tree with height at most h_min(n) + delta.
 
-    The bound is clamped to n, the height of the tallest tree on n keys, and
-    the Solution reports the clamped bound. A clamped bound above
-    states.TABLE_MAX_WIDTH raises ValueError before any table is built.
+    The bound is instance.height_bound(n, delta), clamped to n; the Solution
+    and its decisions report it. A bound above states.TABLE_MAX_WIDTH raises
+    ValueError before any table is built. The empty instance (bound 0) skips
+    only the kernel.
     """
     inst.require_valid()
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
     n = inst.n
-    h_max = min(h_min(n) + delta, n)
+    h_max = height_bound(n, delta)
     if n == 0:
-        tree = External(gap=0, level=0)
-        return Solution(
-            cost=Fraction(0),
-            decisions=DecisionSequence(levels=(), h_max=1),
-            tree=tree,
-            h_max=h_max,
-        )
-
-    cost, ds, _dtype = _kernel_pass(inst, h_max)
+        cost, ds = Fraction(0), DecisionSequence(levels=(), h_max=0)
+    else:
+        cost, ds, _dtype = _kernel_pass(inst, h_max)
     tree = build_tree_from_decisions(ds, n)
     wpl = weighted_path_length(tree, inst)
     if wpl != cost:

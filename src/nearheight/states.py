@@ -1,10 +1,10 @@
 """Rightmost-path occupancy states encoded as fixed-width bit masks.
 
 Bit i of a state records whether level i of the rightmost path currently
-holds a key (level 0 = least significant bit). The scalar functions take
-widths up to MAX_WIDTH; the tables over all 2^h_max states (decision_table,
+holds a key (level 0 = least significant bit). The scalar functions take a
+state of any width; the tables over all 2^h_max states (decision_table,
 capacity_profile, and the StageSets and stage_counts built on it) refuse
-widths above TABLE_MAX_WIDTH before allocating anything.
+widths outside 1..TABLE_MAX_WIDTH before allocating anything.
 """
 
 from __future__ import annotations
@@ -15,33 +15,22 @@ import numpy as np
 
 from .instance import h_min
 
-MAX_WIDTH = 62
 # A table holds 2^h_max slots; the solver's kernel keeps n of them as its
 # policy, and at width 24, n = 24 peaks at about 1.4 GB RSS.
 TABLE_MAX_WIDTH = 24
 
 
 class WidthError(ValueError):
-    """State width outside 1..MAX_WIDTH, or a table wider than TABLE_MAX_WIDTH."""
-
-
-def _check_width(h_max: int):
-    if not 1 <= h_max <= MAX_WIDTH:
-        raise WidthError(f"h_max must be in 1..{MAX_WIDTH}, got {h_max}")
+    """A table width outside 1..TABLE_MAX_WIDTH."""
 
 
 def _check_table_width(h_max: int):
-    _check_width(h_max)
+    if h_max < 1:
+        raise WidthError(f"h_max must be in 1..{TABLE_MAX_WIDTH}, got {h_max}")
     if h_max > TABLE_MAX_WIDTH:
         raise WidthError(
             f"height bound {h_max} above the table width limit {TABLE_MAX_WIDTH}"
         )
-
-
-def initial_state(h_max: int) -> int:
-    """The all-zero state: no levels occupied yet."""
-    _check_width(h_max)
-    return 0
 
 
 def is_feasible(s: int, a: int) -> bool:
@@ -55,7 +44,6 @@ def is_feasible(s: int, a: int) -> bool:
 
 def feasible_decisions(s: int, h_max: int) -> List[int]:
     """All feasible levels for state s, ascending."""
-    _check_width(h_max)
     return [a for a in range(h_max) if is_feasible(s, a)]
 
 
@@ -79,15 +67,7 @@ def is_terminal_valid(s: int) -> bool:
 
 def state_to_bits(s: int, h_max: int) -> str:
     """Render as a bit string from level 0 upward, e.g. '101'."""
-    _check_width(h_max)
     return "".join("1" if (s >> i) & 1 else "0" for i in range(h_max))
-
-
-def enumerate_reachable(n: int, h_max: int) -> List[List[int]]:
-    """State sets S_1..S_{n+1} reachable from the all-zero state, as
-    sorted lists (see StageSets)."""
-    sets = StageSets(n, h_max)
-    return [sets.states(nu) for nu in range(1, n + 2)]
 
 
 class DecisionTable(NamedTuple):
@@ -99,16 +79,17 @@ class DecisionTable(NamedTuple):
     shallow level q-1 < p is given here with its successor.
     """
 
-    top: np.ndarray  # p = precdec(s), -1 for s = 0
+    top: np.ndarray  # p = precdec(s), -1 for s = 0 (int8)
     shallow: np.ndarray  # q-1, or -1 when s has no level below p (int8)
-    shallow_next: np.ndarray  # transition(s, q-1), or 2^h_max when none
+    shallow_next: np.ndarray  # transition(s, q-1), or 2^h_max when none (intp)
 
 
 _TABLE_CACHE = {}
 
 
 def decision_table(h_max: int) -> DecisionTable:
-    """The DecisionTable of width h_max, built once per width."""
+    """The DecisionTable of width h_max, built once per width and cached
+    at 10 bytes per state."""
     _check_table_width(h_max)
     cached = _TABLE_CACHE.get(h_max)
     if cached is not None:
@@ -124,7 +105,7 @@ def decision_table(h_max: int) -> DecisionTable:
     has = shallow >= 0
     low = np.where(has, 1 << np.maximum(shallow, 0), 0)
     shallow_next = np.where(has, (s & (low - 1)) | low, size)
-    table = DecisionTable(top, shallow.astype(np.int8), shallow_next)
+    table = DecisionTable(top.astype(np.int8), shallow.astype(np.int8), shallow_next)
     _TABLE_CACHE[h_max] = table
     return table
 
@@ -137,7 +118,7 @@ def capacity_profile(h_max: int):
     the lower end places one key per occupied rightmost-path level, the
     upper end additionally fills every left subtree hanging off that path.
     The degree |D(s)| is read off the DecisionTable. Returns
-    (min_keys, max_keys, degree) as int64 arrays indexed by state.
+    (min_keys, max_keys, degree) indexed by state, as int64, int64 and int8.
     """
     _check_table_width(h_max)
     s = np.arange(1 << h_max, dtype=np.int64)

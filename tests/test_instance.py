@@ -170,6 +170,18 @@ def test_build_tree_rejects_invalid_terminal():
         build_tree_from_decisions(DecisionSequence(levels=(0, 2), h_max=3), 2)
 
 
+@pytest.mark.parametrize("h_max", [63, 100])
+def test_build_tree_errors_at_any_width(h_max):
+    """Formatting the error message must not raise its own error on a width
+    no table could hold."""
+    with pytest.raises(InfeasibleDecisionError) as exc:
+        build_tree_from_decisions(DecisionSequence(levels=(0, 0), h_max=h_max), 2)
+    assert exc.value.stage == 2
+    with pytest.raises(InfeasibleDecisionError) as exc:
+        build_tree_from_decisions(DecisionSequence(levels=(0, 2), h_max=h_max), 2)
+    assert exc.value.stage == 3
+
+
 def test_build_tree_in_order_sequence():
     kinds = [
         (type(nd).__name__, nd.key if isinstance(nd, Internal) else nd.gap)

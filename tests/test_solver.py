@@ -117,6 +117,10 @@ def test_solve_empty_instance():
     assert sol.cost == 0
     assert isinstance(sol.tree, External) and sol.tree.level == 0
     assert sol.decisions.levels == ()
+    assert sol.h_max == sol.decisions.h_max == 0
+    again = solution_from_obj(json.loads(json.dumps(sol.to_obj())))
+    assert again.h_max == again.decisions.h_max == 0
+    assert again.to_obj() == sol.to_obj()
 
 
 def test_solve_two_equal_keys():
@@ -207,6 +211,8 @@ def test_engines_agree():
         cases.append((n, rng.randint(0, 2), dist))
     # zipf weights over lcm(1..n+1) overflow int64 from n = 41 on
     cases += [(rng.randint(41, 120), rng.randint(0, 2), "zipf") for _ in range(6)]
+    # h = 12: the pair index (1+p)*(h+1) of the shallow move exceeds int8
+    cases.append((40, 6, "uniform"))
     for n, delta, dist in cases:
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
         h_max = min(h_min(n) + delta, n)
@@ -304,7 +310,7 @@ def test_solution_json_round_trip(golden_instance):
     obj = json.loads(json.dumps(sol.to_obj()))
     again = solution_from_obj(obj)
     assert again.cost == sol.cost
-    assert again.decisions.levels == sol.decisions.levels
+    assert again.decisions == sol.decisions
     assert again.to_obj() == sol.to_obj()
 
 

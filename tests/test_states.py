@@ -7,9 +7,7 @@ from nearheight.states import (
     WidthError,
     capacity_profile,
     decision_table,
-    enumerate_reachable,
     feasible_decisions,
-    initial_state,
     is_feasible,
     is_terminal_valid,
     precdec,
@@ -37,13 +35,9 @@ def bits(*levels):
     return s
 
 
-def test_initial_state():
-    assert initial_state(3) == 0
-    assert initial_state(1) == 0
-    with pytest.raises(WidthError):
-        initial_state(63)
-    with pytest.raises(WidthError):
-        initial_state(0)
+def test_tables_refuse_width_zero():
+    with pytest.raises(WidthError, match="h_max must be in 1..24, got 0"):
+        decision_table(0)
 
 
 def test_is_feasible_all_zero():
@@ -100,18 +94,18 @@ def test_state_to_bits():
     assert state_to_bits(0, 3) == "000"
 
 
-def test_enumerate_reachable_first_sets():
-    sets = enumerate_reachable(4, 3)
-    assert sets[0] == [0]
-    assert sets[1] == sorted([bits(0), bits(1), bits(2)])
-    assert all(len(s) <= 10 for s in sets)  # 2^(0+1) * (4+1)
+def test_stage_sets_first_sets():
+    sets = StageSets(4, 3)
+    assert sets.states(1) == [0]
+    assert sets.states(2) == sorted([bits(0), bits(1), bits(2)])
+    assert all(len(sets.states(nu)) <= 10 for nu in range(1, 6))  # 2^(0+1) * (4+1)
 
 
-def test_enumerate_reachable_preconditions():
+def test_stage_sets_preconditions():
     with pytest.raises(ValueError):
-        enumerate_reachable(4, 2)  # below h_min(4) = 3
+        StageSets(4, 2)  # below h_min(4) = 3
     with pytest.raises(ValueError):
-        enumerate_reachable(0, 1)
+        StageSets(0, 1)
     with pytest.raises(ValueError):
         StageSets(20, 3)  # below h_min(20) = 5
 
@@ -164,8 +158,9 @@ def test_deepest_bit_forces_single_decision(sw):
 @pytest.mark.parametrize("n,delta", [(1, 0), (4, 0), (7, 1), (10, 2), (20, 1), (33, 0)])
 def test_theorem_bounds_on_reachable_sets(n, delta):
     h_max = h_min(n) + delta
-    sets = enumerate_reachable(n, h_max)
-    for s_nu in sets:
+    sets = StageSets(n, h_max)
+    for nu in range(1, n + 2):
+        s_nu = sets.states(nu)
         assert len(s_nu) <= (1 << (delta + 1)) * (n + 1)
         assert sum(len(feasible_decisions(s, h_max)) for s in s_nu) <= (
             1 << (delta + 2)
@@ -225,7 +220,7 @@ def test_decision_table_closed_form(h_max):
 @pytest.mark.parametrize("h_max", [40, 62])
 def test_tables_refuse_wide_widths(h_max):
     """Every table over all 2^h_max states refuses a width above 24 before
-    allocating; the scalar functions still take widths up to 62."""
+    allocating; the scalar functions take a state of any width."""
     for build in (decision_table, capacity_profile, lambda h: stage_counts(100, h)):
         with pytest.raises(WidthError, match=f"height bound {h_max} above"):
             build(h_max)

@@ -70,3 +70,6 @@ def test_solve_calls_rebuild_and_check_once(monkeypatch, golden_instance):
     counted("weighted_path_length")
     solver.solve(golden_instance, 0)
     assert calls == {"build_tree_from_decisions": 1, "weighted_path_length": 1}
+    calls.clear()
+    solver.solve(nearheight.ProblemInstance(beta=(), alpha=(1,)), 0)  # n = 0
+    assert calls == {"build_tree_from_decisions": 1, "weighted_path_length": 1}

@@ -386,7 +386,7 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
         if stack:
             stack[-1].right = key
         stack.append(key)
-        s = states.transition(s, a)
+        s = (s & ((1 << a) - 1)) | (1 << a)  # states.transition, checked above
     if stack and not states.is_terminal_valid(s):
         raise InfeasibleDecisionError(
             f"final state {states.state_to_bits(s, ds.h_max)} is not a valid "

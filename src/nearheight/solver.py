@@ -2,16 +2,23 @@
 
 Stage nu places key k_nu on a level; states are rightmost-path bit masks.
 solve() runs one NumPy kernel over the closed-form decision sets of
-states.decision_table, in int64 or, when values could overflow it, in
-exact Python ints, for height bounds (instance.height_bound) up to
-states.TABLE_MAX_WIDTH. The dict-based backward_pass/forward_pass over the
-reachable sets of states.StageSets is the reference the tests compare it
-with; solve() never calls it. Both compute exactly on
-ProblemInstance.integer_weights() and break value ties toward the smallest
-level, with bit-identical results.
+states.decision_table, for height bounds (instance.height_bound) up to
+states.TABLE_MAX_WIDTH and policies up to states.POLICY_MAX_BYTES. It takes
+one of three paths: "int64" when every exact value fits int64;
+"int64-floored" otherwise, the same int64 pass on the weights floored to a
+2^K grid, where every decision the forward walk uses must beat the runner-up
+by more than the rounding bound E_nu = (h+1)(2(n-nu)+3) grid units, and
+states whose margin is thinner carry a flag in the policy; and "object", a
+rerun in exact Python ints when the walk meets a flagged state. The
+dict-based backward_pass/forward_pass over the reachable sets of
+states.StageSets is the reference the tests compare it with; solve() never
+calls it. Both compute on ProblemInstance.integer_weights() and break value
+ties toward the smallest level, with bit-identical decisions.
 solve() rebuilds the tree with build_tree_from_decisions, which replays the
-decisions through the state machine once, and checks the kernel's cost
-against the tree's weighted path length, summed over the same integers.
+decisions through the state machine once, and reports the tree's weighted
+path length, summed over the same integers, as the cost. It checks that the
+kernel's value equals it on the exact paths, and on the floored path that
+it lies at most E_1 grid units below it.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ INFINITY = inf
 # minimum finds the lowest value and, among equal values, the smallest level.
 _LEVEL_BITS = 5
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
+# Policy bit of a floored decision whose margin is too thin to certify it.
+_THIN = 1 << 6
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InfeasibleHeightError(ValueError):
@@ -187,27 +197,38 @@ def forward_pass(tables: StageTables) -> Tuple[CostValue, DecisionSequence]:
 # Vectorized kernel
 
 
-def _kernel_pass(
-    inst: ProblemInstance, h_max: int
-) -> Tuple[Fraction, DecisionSequence, str]:
-    """Backward and forward pass over all 2^h_max states, in NumPy.
+def _grid_shift(total: int, h_max: int, slack: int) -> int:
+    """Smallest shift >= 0 for which every packed value of a pass on the
+    weights floored to multiples of 2^shift fits int64.
 
-    Returns the cost, the decisions and the dtype used. The kernel evaluates
-    every state of the width, reachable or not, which leaves the values of
-    reachable states unchanged. Values are integers over the common
-    denominator: int64 when every packed value fits, exact Python ints
-    ("object") otherwise. A width above states.TABLE_MAX_WIDTH raises
-    ValueError before any table is built.
+    Finite values are at most bound = (h_max+1) * (total >> shift), where
+    total is the sum of the integer weights; the dead sentinel sits `slack`
+    above bound, and a value through a dead state is at most dead + bound.
     """
-    n = inst.n
-    denom, alpha, beta = inst.integer_weights()
-    # Every finite value is at most `bound`, so `dead` (infinity) sits above
-    # them all; a value that involves a dead state is at most dead + bound.
-    bound = (h_max + 1) * (sum(alpha) + sum(beta))
-    dead = bound + 1
-    top_packed = ((dead + bound) << _LEVEL_BITS) | _LEVEL_MASK
-    dtype = "int64" if top_packed <= np.iinfo(np.int64).max else "object"
 
+    def top(shift):
+        bound = (h_max + 1) * (total >> shift)
+        return ((2 * bound + slack) << _LEVEL_BITS) | _LEVEL_MASK
+
+    # a few bits below the estimate, so the loop takes two or three steps
+    shift = max(0, top(0).bit_length() - 66)
+    while top(shift) > _INT64_MAX:
+        shift += 1
+    return shift
+
+
+def _backward(alpha, beta, h_max: int, dtype, dead: int, thin_at=None):
+    """Packed backward pass over all 2^h_max states.
+
+    Returns V_1(0) and the n x 2^h_max int8 policy. The kernel evaluates
+    every state of the width, reachable or not, which leaves the values of
+    reachable states unchanged. Values at or above `dead` stand for
+    infinity; a dead V_1(0) raises InfeasibleHeightError. With thin_at (one
+    packed threshold per stage), the pass also tracks the second-best
+    candidate of every state and sets _THIN in the policy where second - best
+    is at most the stage's threshold.
+    """
+    n = len(beta)
     size = 1 << h_max
     tab = st.decision_table(h_max)
     # The shallow decision q-1 of state s costs (1+p)*alpha + q*beta. Pair
@@ -230,6 +251,11 @@ def _kernel_pass(
     cand = np.empty(size, dtype=dtype)
     # deep level a takes state s < 2^a to s + 2^a: three views per level
     deep = [(v[1 << a : 2 << a], best[: 1 << a], cand[: 1 << a]) for a in range(h_max)]
+    if thin_at is not None:
+        # second: the runner-up, or a dead candidate when there is none
+        second = np.empty(size, dtype=dtype)
+        runner_up = [second[: 1 << a] for a in range(h_max)]
+        thin = np.empty(size, dtype=bool)
     policies = np.empty((n, size), dtype=np.int8)
     for nu in range(n, 0, -1):
         a_w = alpha[nu - 1] << _LEVEL_BITS
@@ -238,24 +264,106 @@ def _kernel_pass(
         v.take(tab.shallow_next, out=best, mode="clip")
         pair_cost.take(pair, out=cand, mode="clip")
         best += cand
+        if thin_at is not None:
+            np.maximum(best, dead << _LEVEL_BITS, out=second)
         w = a_w + b_w  # a deep level a costs (a+1)*(alpha+beta)
         for a, (succ, b, c) in enumerate(deep):
             np.add(succ, (a + 1) * w + a, out=c)
+            if thin_at is not None:
+                # best <= second, so the new runner-up is the median of
+                # (best, second, c): max(best, min(second, c))
+                s2 = runner_up[a]
+                np.minimum(s2, c, out=s2)
+                np.maximum(s2, b, out=s2)
             np.minimum(b, c, out=b)
-        np.bitwise_and(best, _LEVEL_MASK, out=policies[nu - 1], casting="unsafe")
+        pol = policies[nu - 1]
+        np.bitwise_and(best, _LEVEL_MASK, out=pol, casting="unsafe")
+        if thin_at is not None:
+            np.subtract(second, best, out=second)
+            np.less_equal(second, thin_at[nu - 1], out=thin)
+            np.bitwise_or(pol, _THIN, out=pol, where=thin)
         np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
 
-    f_int = int(v[0]) >> _LEVEL_BITS
-    if f_int >= dead:
+    value = int(v[0]) >> _LEVEL_BITS
+    if value >= dead:
         raise InfeasibleHeightError("no feasible tree within the height bound")
+    return value, policies
+
+
+def _walk(policies):
+    """Decisions along the policy from the all-zero state, or None when a
+    visited state carries _THIN."""
     levels = []
     s = 0
-    for nu in range(n):
-        a = int(policies[nu, s])
+    for pol in policies:
+        a = int(pol[s])
+        if a & _THIN:
+            return None
         levels.append(a)
         s = (s & ((1 << a) - 1)) | (1 << a)
-    ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
-    return Fraction(f_int, denom), ds, dtype
+    return levels
+
+
+def _kernel_pass(
+    inst: ProblemInstance, h_max: int
+) -> Tuple[Fraction, Fraction, DecisionSequence, str]:
+    """Backward and forward pass over all 2^h_max states, in NumPy.
+
+    Returns (cost, error, decisions, path): the optimal cost lies in
+    [cost, cost + error], and error is 0 unless the path is "int64-floored".
+    Values are integers over the common denominator d. The three paths:
+
+    - "int64": every packed exact value fits int64.
+    - "int64-floored": otherwise, the same int64 pass runs on the weights
+      floored to multiples of 2^K, with K from _grid_shift. In units of 2^K
+      each floored weight is low by less than 1 and every coefficient is at
+      most h+1, so V_nu is low by less than E_nu = (h+1)(2(n-nu)+3) and each
+      stage-nu candidate by less than E_nu as well. A decision whose
+      candidate beats every other one by more than E_nu is the unique exact
+      argmin, so the smallest-level tie rule never decides it and it equals
+      the exact decision. The pass marks every state whose margin is not
+      that wide (_THIN), and dead sits E_1 + 2 above every finite value, so
+      a dead runner-up never marks a state.
+    - "object": when the walk meets a marked state, the pass reruns on the
+      exact weights in Python ints, the exact path.
+
+    A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
+    states.POLICY_MAX_BYTES, raises ValueError before any table is built.
+    """
+    n = inst.n
+    st.check_policy_size(n, h_max)
+    denom, alpha, beta = inst.integer_weights()
+    total = sum(alpha) + sum(beta)
+    path = "int64"
+    if _grid_shift(total, h_max, 1) > 0:
+        error = (h_max + 1) * (2 * n + 1)  # E_1
+        shift = _grid_shift(total, h_max, error + 2)
+        thin_at = [
+            ((h_max + 1) * (2 * (n - nu) + 3) + 1) << _LEVEL_BITS for nu in range(1, n + 1)
+        ]
+        value, policies = _backward(
+            [w >> shift for w in alpha],
+            [w >> shift for w in beta],
+            h_max,
+            np.int64,
+            (h_max + 1) * (total >> shift) + error + 2,
+            thin_at,
+        )
+        levels = _walk(policies)
+        if levels is not None:
+            ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
+            return (
+                Fraction(value << shift, denom),
+                Fraction(error << shift, denom),
+                ds,
+                "int64-floored",
+            )
+        del policies  # before the exact pass allocates its own
+        path = "object"
+    dtype = np.int64 if path == "int64" else object
+    value, policies = _backward(alpha, beta, h_max, dtype, (h_max + 1) * total + 1)
+    ds = DecisionSequence(levels=tuple(_walk(policies)), h_max=h_max)
+    return Fraction(value, denom), Fraction(0), ds, path
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +374,30 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
     """Optimal tree with height at most h_min(n) + delta.
 
     The bound is instance.height_bound(n, delta), clamped to n; the Solution
-    and its decisions report it. A bound above states.TABLE_MAX_WIDTH raises
-    ValueError before any table is built. The empty instance (bound 0) skips
-    only the kernel.
+    and its decisions report it. A bound above states.TABLE_MAX_WIDTH, or a
+    policy above states.POLICY_MAX_BYTES, raises ValueError before any table
+    is built. The cost is the exact weighted path length of the rebuilt
+    tree; RuntimeError is raised unless the kernel's value equals it, or, on
+    the floored path, lies within the rounding bound below it. The empty
+    instance (bound 0) skips only the kernel.
     """
     inst.require_valid()
     n = inst.n
     h_max = height_bound(n, delta)
     if n == 0:
-        cost, ds = Fraction(0), DecisionSequence(levels=(), h_max=0)
+        low, error, ds = Fraction(0), Fraction(0), DecisionSequence(levels=(), h_max=0)
     else:
-        cost, ds, _dtype = _kernel_pass(inst, h_max)
+        low, error, ds, _path = _kernel_pass(inst, h_max)
     tree = build_tree_from_decisions(ds, n)
     wpl = weighted_path_length(tree, inst)
-    if wpl != cost:
-        raise RuntimeError(f"solver cost {cost} differs from the tree's wpl {wpl}")
-    return Solution(cost=cost, decisions=ds, tree=tree, h_max=h_max)
+    # an exact path gives the wpl itself, the floored path a value at most
+    # `error` below it
+    if wpl != low and not low < wpl <= low + error:
+        raise RuntimeError(
+            f"solver cost {low} (rounding bound {error}) differs from the "
+            f"tree's wpl {wpl}"
+        )
+    return Solution(cost=wpl, decisions=ds, tree=tree, h_max=h_max)
 
 
 def solve_with_max_height(inst: ProblemInstance, max_height: int) -> Solution:

@@ -4,7 +4,9 @@ Bit i of a state records whether level i of the rightmost path currently
 holds a key (level 0 = least significant bit). The scalar functions take a
 state of any width; the tables over all 2^h_max states (decision_table,
 capacity_profile, and the StageSets and stage_counts built on it) refuse
-widths outside 1..TABLE_MAX_WIDTH before allocating anything.
+widths outside 1..TABLE_MAX_WIDTH before allocating anything, and
+check_policy_size refuses the solver's n x 2^h_max policy above
+POLICY_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .instance import h_min
 # A table holds 2^h_max slots; the solver's kernel keeps n of them as its
 # policy, and at width 24, n = 24 peaks at about 1.4 GB RSS.
 TABLE_MAX_WIDTH = 24
+# The kernel's policy holds one byte per state and stage: n = 16000 at
+# width 17 takes 2 GB, n = 1000 at width 24 would take 16 GB.
+POLICY_MAX_BYTES = 1 << 32
 
 
 class WidthError(ValueError):
@@ -30,6 +35,18 @@ def _check_table_width(h_max: int):
     if h_max > TABLE_MAX_WIDTH:
         raise WidthError(
             f"height bound {h_max} above the table width limit {TABLE_MAX_WIDTH}"
+        )
+
+
+def check_policy_size(n: int, h_max: int):
+    """Refuse a width outside 1..TABLE_MAX_WIDTH (WidthError), then a policy
+    of n x 2^h_max bytes above POLICY_MAX_BYTES (ValueError)."""
+    _check_table_width(h_max)
+    need = n << h_max
+    if need > POLICY_MAX_BYTES:
+        raise ValueError(
+            f"policy table for n = {n} at height bound {h_max} needs {need} "
+            f"bytes, above the limit of {POLICY_MAX_BYTES}"
         )
 
 

@@ -109,6 +109,14 @@ def test_solve_width_above_kernel_limit(tmp_path, capsys):
     assert "height bound 25" in err
 
 
+def test_solve_policy_above_memory_limit(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(generate_random_instance(1000, 1).dumps())
+    code, _, err = run(["solve", "-i", str(path), "--delta", "14"], capsys)
+    assert code == 1
+    assert f"needs {1000 << 24} bytes" in err
+
+
 def test_solve_infeasible_height(golden_file, capsys):
     code, _, err = run(["solve", "-i", golden_file, "--max-height", "2"], capsys)
     assert code == 3

@@ -217,10 +217,72 @@ def test_engines_agree():
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        got_cost, got_ds, dtype = _kernel_pass(inst, h_max)
-        assert (got_cost, got_ds) == (cost, ds), (n, delta, dist)
+        low, error, got_ds, path = _kernel_pass(inst, h_max)
+        assert got_ds == ds, (n, delta, dist)
+        assert low <= cost <= low + error, (n, delta, dist)
         if n > 40 and dist == "zipf":
-            assert dtype == "object"
+            assert path == "int64-floored" and error > 0
+        else:
+            assert path == "int64" and error == 0
+
+
+def _mark_every_margin_thin(monkeypatch):
+    """Make every certificate of the floored pass fail, so _kernel_pass
+    reruns on the exact object dtype."""
+    real = solver._backward
+
+    def every_margin_thin(alpha, beta, h_max, dtype, dead, thin_at=None):
+        value, policies = real(alpha, beta, h_max, dtype, dead, thin_at)
+        if thin_at is not None:
+            policies |= solver._THIN
+        return value, policies
+
+    monkeypatch.setattr(solver, "_backward", every_margin_thin)
+
+
+@pytest.mark.parametrize("n", [96, 160, 256])
+def test_floored_path_matches_object_path(monkeypatch, n):
+    rng = random.Random(n)
+    cases = []
+    for delta in range(3):
+        inst = generate_random_instance(n, rng.randint(0, 10**6), dist="zipf")
+        h_max = min(h_min(n) + delta, n)
+        cases.append((inst, h_max, _kernel_pass(inst, h_max)))
+    _mark_every_margin_thin(monkeypatch)
+    for inst, h_max, (low, error, ds, path) in cases:
+        cost, zero, exact_ds, exact_path = _kernel_pass(inst, h_max)
+        assert (path, exact_path) == ("int64-floored", "object")
+        assert ds == exact_ds
+        assert zero == 0 and low <= cost <= low + error
+
+
+def _mirrored(n, d):
+    """Weights over the denominator d that peak at the middle key and read
+    the same from either end."""
+    unit = d // (n + 2) ** 2
+    beta = [
+        Fraction(unit * min(i, n + 1 - i) ** 2 + i * (n + 1 - i), d) for i in range(1, n + 1)
+    ]
+    alpha = [Fraction(unit * min(j + 1, n + 1 - j) + 1, d) for j in range(n + 1)]
+    return ProblemInstance(beta=tuple(beta), alpha=tuple(alpha))
+
+
+@pytest.mark.parametrize("d", [2**61 - 1, 2**89 - 1])
+@pytest.mark.parametrize("n", [6, 7, 30, 31])
+def test_exact_ties_take_the_exact_path(n, d):
+    """A mirror-symmetric instance with an even n has an optimal tree and
+    its distinct mirror image, so the walk meets an exact tie, which floored
+    values cannot certify: the kernel must fall back to the exact pass and
+    keep the smallest level. With an odd n the optimum is unique."""
+    inst = _mirrored(n, d)
+    assert inst.common_denominator() == d
+    for delta in range(3):
+        h_max = min(h_min(n) + delta, n)
+        cost, ds = forward_pass(backward_pass(inst, h_max))
+        low, error, got_ds, path = _kernel_pass(inst, h_max)
+        assert path == ("object" if n % 2 == 0 else "int64-floored"), delta
+        assert got_ds == ds, delta
+        assert low <= cost <= low + error, delta
 
 
 def test_kernel_matches_reference_on_ties():
@@ -239,9 +301,9 @@ def test_kernel_matches_reference_on_ties():
         inst = ProblemInstance(beta=beta, alpha=alpha)
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        got_cost, got_ds, dtype = _kernel_pass(inst, h_max)
+        got_cost, error, got_ds, path = _kernel_pass(inst, h_max)
         assert (got_cost, got_ds) == (cost, ds), (n, delta)
-        assert dtype == "int64"
+        assert (path, error) == ("int64", 0)
 
 
 def test_numpy_engine_never_falls_back(monkeypatch):
@@ -273,16 +335,42 @@ def test_reference_pass_refuses_wide_tables():
         solve(inst, 40)
 
 
+def test_policy_table_refused_before_allocating(monkeypatch):
+    # n = 16000 at width 17: 2 GB of policy, within the limit
+    solver.st.check_policy_size(16000, 17)
+
+    def refuse(h_max):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(solver.st, "decision_table", refuse)
+    # n = 1000 at width 24: 16 GB of policy
+    inst = generate_random_instance(1000, 1)
+    with pytest.raises(ValueError, match=f"needs {1000 << 24} bytes"):
+        solve(inst, 14)
+
+
 def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):
     real = solver._kernel_pass
+    shift = {}
 
     def wrong_cost(inst, h_max):
-        cost, ds, dtype = real(inst, h_max)
-        return cost + 1, ds, dtype
+        cost, error, ds, path = real(inst, h_max)
+        return cost + shift[path](error), error, ds, path
 
     monkeypatch.setattr(solver, "_kernel_pass", wrong_cost)
+    shift["int64"] = lambda error: 1
     with pytest.raises(RuntimeError, match="differs"):
         solve(golden_instance, 0)
+    # a floored value lies below the tree's wpl by less than its rounding
+    # bound; the solution reports the exact wpl
+    inst = generate_random_instance(96, 1, dist="zipf")
+    shift["int64-floored"] = lambda error: 0
+    cost, _ = forward_pass(backward_pass(inst, h_min(96)))
+    assert solve(inst, 0).cost == cost
+    for moved in (2, -2):
+        shift["int64-floored"] = lambda error: moved * error
+        with pytest.raises(RuntimeError, match="rounding bound"):
+            solve(inst, 0)
 
 
 def test_height_bound_clamped_to_n():

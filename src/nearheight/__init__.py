@@ -27,11 +27,8 @@ from .solver import (
     StageTables,
     backward_pass,
     forward_pass,
-    gap_level,
     solve,
     solve_with_max_height,
-    stage_cost,
-    terminal_cost,
 )
 
 __all__ = [
@@ -48,14 +45,11 @@ __all__ = [
     "build_tree_from_decisions",
     "format_weight",
     "forward_pass",
-    "gap_level",
     "generate_random_instance",
     "h_min",
     "parse_weight",
     "solve",
     "solve_with_max_height",
-    "stage_cost",
-    "terminal_cost",
     "tree_height",
     "tree_to_dot",
     "weighted_path_length",

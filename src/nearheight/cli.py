@@ -18,7 +18,7 @@ from .instance import (
     InstanceError,
     ProblemInstance,
     generate_random_instance,
-    h_min,
+    height_bound,
     tree_to_dot,
     tree_to_text,
 )
@@ -126,7 +126,7 @@ def _cmd_verify(args) -> int:
     failures = 0
     for n in range(1, args.n_max + 1):
         for delta in range(args.delta_max + 1):
-            max_height = h_min(n) + delta
+            max_height = height_bound(n, delta)
             ok = 0
             for trial in range(args.trials):
                 seed = args.seed * 1_000_003 + n * 1009 + delta * 101 + trial

@@ -241,24 +241,30 @@ def count_keys(root: Node) -> int:
 
 def weighted_path_length(root: Node, inst: ProblemInstance) -> Fraction:
     """sum beta_i * (b_i + 1) + sum alpha_j * a_j, exact: summed over the
-    integer weights of inst.integer_weights()."""
+    integer weights of inst.integer_weights().
+
+    The in-order walk must read gap 0, key 1, gap 1, ..., key n, gap n;
+    any other labelling raises InstanceError."""
     d, alpha, beta = inst.integer_weights()
+    n = inst.n
     total = 0
-    n_keys = 0
-    n_gaps = 0
+    i = 0  # in-order position: gap j sits at 2j, key j+1 at 2j+1
     for nd in inorder(root):
-        if isinstance(nd, Internal):
-            total += beta[nd.key - 1] * (nd.level + 1)
-            n_keys += 1
+        j = i >> 1
+        if i & 1 and isinstance(nd, Internal) and nd.key == j + 1 <= n:
+            total += beta[j] * (nd.level + 1)
+        elif not i & 1 and isinstance(nd, External) and nd.gap == j <= n:
+            total += alpha[j] * nd.level
         else:
-            total += alpha[nd.gap] * nd.level
-            n_gaps += 1
-    if n_keys != inst.n or n_gaps != inst.n + 1:
-        raise InstanceError(
-            f"tree has {n_keys} keys / {n_gaps} gaps, instance expects "
-            f"{inst.n} / {inst.n + 1}"
-        )
-    return Fraction(total, d)
+            break
+        i += 1
+    else:
+        if i == 2 * n + 1:
+            return Fraction(total, d)
+    raise InstanceError(
+        f"tree does not read gap 0, key 1, ..., key {n}, gap {n} in order "
+        f"(first difference at in-order node {i})"
+    )
 
 
 def tree_to_obj(root: Node) -> dict:

@@ -148,7 +148,6 @@ def brute_force_optimum(inst: ProblemInstance, max_height: int) -> Solution:
         cost=Fraction(best_cost, denom),
         decisions=DecisionSequence(levels=key_levels(tree), h_max=max_height),
         tree=tree,
-        h_max=max_height,
     )
 
 
@@ -212,7 +211,6 @@ def knuth_unrestricted(inst: ProblemInstance) -> Solution:
         cost=Fraction(e[1][n], denom),
         decisions=DecisionSequence(levels=key_levels(tree), h_max=n),
         tree=tree,
-        h_max=n,
     )
 
 
@@ -273,5 +271,4 @@ def height_restricted_dp(inst: ProblemInstance, max_height: int) -> Solution:
         cost=Fraction(total, denom),
         decisions=DecisionSequence(levels=key_levels(tree), h_max=max_height),
         tree=tree,
-        h_max=max_height,
     )

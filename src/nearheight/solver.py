@@ -3,22 +3,23 @@
 Stage nu places key k_nu on a level; states are rightmost-path bit masks.
 solve() runs one NumPy kernel over the closed-form decision sets of
 states.decision_table, for height bounds (instance.height_bound) up to
-states.TABLE_MAX_WIDTH and policies up to states.POLICY_MAX_BYTES. It takes
-one of three paths: "int64" when every exact value fits int64;
-"int64-floored" otherwise, the same int64 pass on the weights floored to a
-2^K grid, where every decision the forward walk uses must beat the runner-up
-by more than the rounding bound E_nu = (h+1)(2(n-nu)+3) grid units, and
-states whose margin is thinner carry a flag in the policy; and "object", a
-rerun in exact Python ints when the walk meets a flagged state. The
-dict-based backward_pass/forward_pass over the reachable sets of
-states.StageSets is the reference the tests compare it with; solve() never
-calls it. Both compute on ProblemInstance.integer_weights() and break value
-ties toward the smallest level, with bit-identical decisions.
+states.TABLE_MAX_WIDTH and policies up to states.POLICY_MAX_BYTES. The
+kernel is one int64 pass on the weights floored to a 2^K grid, with K the
+smallest grid whose packed values fit int64. K = 0 is the exact "int64"
+path. On the "int64-floored" path (K >= 1) every decision the forward walk
+uses must beat the runner-up by more than the rounding bound
+E_nu = (h+1)(2(n-nu)+3) grid units, and states whose margin is thinner carry
+a flag in the policy; when the walk meets one, the pass reruns in exact
+Python ints, the "object" path. The dict-based backward_pass/forward_pass
+over the reachable sets of states.StageSets is the reference the tests
+compare it with; solve() never calls it. Both compute on
+ProblemInstance.integer_weights() and break value ties toward the smallest
+level, with bit-identical decisions.
 solve() rebuilds the tree with build_tree_from_decisions, which replays the
 decisions through the state machine once, and reports the tree's weighted
 path length, summed over the same integers, as the cost. It checks that the
-kernel's value equals it on the exact paths, and on the floored path that
-it lies at most E_1 grid units below it.
+kernel's value lies at most its rounding bound (0 on the exact paths) below
+it.
 """
 
 from __future__ import annotations
@@ -61,29 +62,6 @@ class InfeasibleHeightError(ValueError):
     """No tree with the requested height bound exists."""
 
 
-def gap_level(prev_key_level: int, cur_key_level: int) -> int:
-    """Level of the gap between two adjacent keys: one below the deeper."""
-    if prev_key_level < 0 or cur_key_level < 0:
-        raise ValueError("levels must be nonnegative")
-    if prev_key_level == cur_key_level:
-        raise ValueError("adjacent keys cannot share a level")
-    return 1 + max(prev_key_level, cur_key_level)
-
-
-def stage_cost(inst: ProblemInstance, nu: int, s: int, a: int) -> Fraction:
-    """(1 + max(precdec(s), a)) * alpha_{nu-1} + (a+1) * beta_nu."""
-    if not st.is_feasible(s, a):
-        raise ValueError(f"decision {a} infeasible in state {bin(s)}")
-    return (1 + max(st.precdec(s), a)) * inst.alpha[nu - 1] + (a + 1) * inst.beta[nu - 1]
-
-
-def terminal_cost(inst: ProblemInstance, s: int) -> CostValue:
-    """(1 + precdec(s)) * alpha_n for a valid final rightmost path, inf else."""
-    if st.is_terminal_valid(s):
-        return (1 + st.precdec(s)) * inst.alpha[inst.n]
-    return INFINITY
-
-
 @dataclass
 class StageTables:
     """Value and policy maps over the reachable states of every stage."""
@@ -100,7 +78,11 @@ class Solution:
     cost: Fraction
     decisions: DecisionSequence
     tree: Node
-    h_max: int
+
+    @property
+    def h_max(self) -> int:
+        """The height bound, as the decisions record it."""
+        return self.decisions.h_max
 
     def to_obj(self) -> dict:
         n = len(self.decisions)
@@ -120,11 +102,8 @@ def solution_from_obj(obj: dict) -> "Solution":
 
     return Solution(
         cost=parse_weight(obj["wpl"]),
-        decisions=DecisionSequence(
-            levels=tuple(obj["decisions"]), h_max=obj["h_max"]
-        ),
+        decisions=DecisionSequence(levels=tuple(obj["decisions"]), h_max=obj["h_max"]),
         tree=tree_from_obj(obj["tree"]),
-        h_max=obj["h_max"],
     )
 
 
@@ -197,36 +176,30 @@ def forward_pass(tables: StageTables) -> Tuple[CostValue, DecisionSequence]:
 # Vectorized kernel
 
 
-def _grid_shift(total: int, h_max: int, slack: int) -> int:
-    """Smallest shift >= 0 for which every packed value of a pass on the
-    weights floored to multiples of 2^shift fits int64.
+def _grid_bits(total: int, h_max: int, slack: int) -> int:
+    """Smallest K >= 0 for which every packed value of a pass on the weights
+    floored to multiples of 2^K fits int64.
 
-    Finite values are at most bound = (h_max+1) * (total >> shift), where
-    total is the sum of the integer weights; the dead sentinel sits `slack`
-    above bound, and a value through a dead state is at most dead + bound.
+    Finite values are at most bound = (h_max+1) * (total >> K), where total
+    is the sum of the integer weights; the dead sentinel sits `slack` above
+    bound, and a value through a dead state is at most dead + bound. The
+    packed top (2*bound + slack) << _LEVEL_BITS | _LEVEL_MASK fits exactly
+    when total >> K <= cap, that is when total < (cap + 1) << K.
     """
-
-    def top(shift):
-        bound = (h_max + 1) * (total >> shift)
-        return ((2 * bound + slack) << _LEVEL_BITS) | _LEVEL_MASK
-
-    # a few bits below the estimate, so the loop takes two or three steps
-    shift = max(0, top(0).bit_length() - 66)
-    while top(shift) > _INT64_MAX:
-        shift += 1
-    return shift
+    cap = ((_INT64_MAX >> _LEVEL_BITS) - slack) // (2 * (h_max + 1))
+    return (total // (cap + 1)).bit_length()
 
 
-def _backward(alpha, beta, h_max: int, dtype, dead: int, thin_at=None):
+def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     """Packed backward pass over all 2^h_max states.
 
     Returns V_1(0) and the n x 2^h_max int8 policy. The kernel evaluates
     every state of the width, reachable or not, which leaves the values of
     reachable states unchanged. Values at or above `dead` stand for
-    infinity; a dead V_1(0) raises InfeasibleHeightError. With thin_at (one
-    packed threshold per stage), the pass also tracks the second-best
-    candidate of every state and sets _THIN in the policy where second - best
-    is at most the stage's threshold.
+    infinity; a dead V_1(0) raises InfeasibleHeightError. With certify, the
+    pass also tracks the second-best candidate of every state and sets _THIN
+    in the policy where second - best is at most E_nu + 1 grid units, with
+    E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
     """
     n = len(beta)
     size = 1 << h_max
@@ -251,7 +224,7 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, thin_at=None):
     cand = np.empty(size, dtype=dtype)
     # deep level a takes state s < 2^a to s + 2^a: three views per level
     deep = [(v[1 << a : 2 << a], best[: 1 << a], cand[: 1 << a]) for a in range(h_max)]
-    if thin_at is not None:
+    if certify:
         # second: the runner-up, or a dead candidate when there is none
         second = np.empty(size, dtype=dtype)
         runner_up = [second[: 1 << a] for a in range(h_max)]
@@ -264,12 +237,12 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, thin_at=None):
         v.take(tab.shallow_next, out=best, mode="clip")
         pair_cost.take(pair, out=cand, mode="clip")
         best += cand
-        if thin_at is not None:
+        if certify:
             np.maximum(best, dead << _LEVEL_BITS, out=second)
         w = a_w + b_w  # a deep level a costs (a+1)*(alpha+beta)
         for a, (succ, b, c) in enumerate(deep):
             np.add(succ, (a + 1) * w + a, out=c)
-            if thin_at is not None:
+            if certify:
                 # best <= second, so the new runner-up is the median of
                 # (best, second, c): max(best, min(second, c))
                 s2 = runner_up[a]
@@ -278,9 +251,10 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, thin_at=None):
             np.minimum(b, c, out=b)
         pol = policies[nu - 1]
         np.bitwise_and(best, _LEVEL_MASK, out=pol, casting="unsafe")
-        if thin_at is not None:
+        if certify:
+            e_nu = width * (2 * (n - nu) + 3)
             np.subtract(second, best, out=second)
-            np.less_equal(second, thin_at[nu - 1], out=thin)
+            np.less_equal(second, (e_nu + 1) << _LEVEL_BITS, out=thin)
             np.bitwise_or(pol, _THIN, out=pol, where=thin)
         np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
 
@@ -311,21 +285,22 @@ def _kernel_pass(
 
     Returns (cost, error, decisions, path): the optimal cost lies in
     [cost, cost + error], and error is 0 unless the path is "int64-floored".
-    Values are integers over the common denominator d. The three paths:
+    Values are integers over the common denominator d.
 
-    - "int64": every packed exact value fits int64.
-    - "int64-floored": otherwise, the same int64 pass runs on the weights
-      floored to multiples of 2^K, with K from _grid_shift. In units of 2^K
-      each floored weight is low by less than 1 and every coefficient is at
-      most h+1, so V_nu is low by less than E_nu = (h+1)(2(n-nu)+3) and each
-      stage-nu candidate by less than E_nu as well. A decision whose
-      candidate beats every other one by more than E_nu is the unique exact
-      argmin, so the smallest-level tie rule never decides it and it equals
-      the exact decision. The pass marks every state whose margin is not
-      that wide (_THIN), and dead sits E_1 + 2 above every finite value, so
-      a dead runner-up never marks a state.
-    - "object": when the walk meets a marked state, the pass reruns on the
-      exact weights in Python ints, the exact path.
+    One int64 pass runs on the weights floored to multiples of 2^K, with K
+    from _grid_bits. K = 0 when every packed exact value fits int64, with
+    the dead sentinel 1 above every finite value: the pass is exact, the
+    "int64" path. Otherwise K >= 1 is the smallest grid on which the floored
+    values fit with dead E_1 + 2 above them, the "int64-floored" path. In
+    units of 2^K each floored weight is low by less than 1 and every
+    coefficient is at most h+1, so V_nu is low by less than
+    E_nu = (h+1)(2(n-nu)+3) and each stage-nu candidate by less than E_nu as
+    well. A decision whose candidate beats every other one by more than E_nu
+    is the unique exact argmin, so the smallest-level tie rule never decides
+    it and it equals the exact decision. The pass marks every state whose
+    margin is not that wide (_THIN); a dead runner-up, E_1 + 2 above every
+    finite value, never marks a state. When the walk meets a marked state,
+    the pass reruns on the exact weights in Python ints, the "object" path.
 
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
@@ -334,36 +309,26 @@ def _kernel_pass(
     st.check_policy_size(n, h_max)
     denom, alpha, beta = inst.integer_weights()
     total = sum(alpha) + sum(beta)
-    path = "int64"
-    if _grid_shift(total, h_max, 1) > 0:
-        error = (h_max + 1) * (2 * n + 1)  # E_1
-        shift = _grid_shift(total, h_max, error + 2)
-        thin_at = [
-            ((h_max + 1) * (2 * (n - nu) + 3) + 1) << _LEVEL_BITS for nu in range(1, n + 1)
-        ]
-        value, policies = _backward(
-            [w >> shift for w in alpha],
-            [w >> shift for w in beta],
-            h_max,
-            np.int64,
-            (h_max + 1) * (total >> shift) + error + 2,
-            thin_at,
-        )
-        levels = _walk(policies)
-        if levels is not None:
-            ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
-            return (
-                Fraction(value << shift, denom),
-                Fraction(error << shift, denom),
-                ds,
-                "int64-floored",
-            )
-        del policies  # before the exact pass allocates its own
-        path = "object"
-    dtype = np.int64 if path == "int64" else object
-    value, policies = _backward(alpha, beta, h_max, dtype, (h_max + 1) * total + 1)
+    error = 0 if _grid_bits(total, h_max, 1) == 0 else (h_max + 1) * (2 * n + 1)  # E_1
+    slack = error + 2 if error else 1
+    shift = _grid_bits(total, h_max, slack)
+    value, policies = _backward(
+        [w >> shift for w in alpha],
+        [w >> shift for w in beta],
+        h_max,
+        np.int64,
+        (h_max + 1) * (total >> shift) + slack,
+        shift > 0,
+    )
+    levels = _walk(policies)
+    if levels is not None:
+        ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
+        path = "int64-floored" if shift else "int64"
+        return Fraction(value << shift, denom), Fraction(error << shift, denom), ds, path
+    del policies  # before the exact pass allocates its own
+    value, policies = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1, False)
     ds = DecisionSequence(levels=tuple(_walk(policies)), h_max=h_max)
-    return Fraction(value, denom), Fraction(0), ds, path
+    return Fraction(value, denom), Fraction(0), ds, "object"
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +342,8 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
     and its decisions report it. A bound above states.TABLE_MAX_WIDTH, or a
     policy above states.POLICY_MAX_BYTES, raises ValueError before any table
     is built. The cost is the exact weighted path length of the rebuilt
-    tree; RuntimeError is raised unless the kernel's value equals it, or, on
-    the floored path, lies within the rounding bound below it. The empty
+    tree; RuntimeError is raised unless the kernel's value lies at most its
+    rounding bound below it, a bound that is 0 on the exact paths. The empty
     instance (bound 0) skips only the kernel.
     """
     inst.require_valid()
@@ -390,14 +355,12 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
         low, error, ds, _path = _kernel_pass(inst, h_max)
     tree = build_tree_from_decisions(ds, n)
     wpl = weighted_path_length(tree, inst)
-    # an exact path gives the wpl itself, the floored path a value at most
-    # `error` below it
-    if wpl != low and not low < wpl <= low + error:
+    if not low <= wpl <= low + error:
         raise RuntimeError(
             f"solver cost {low} (rounding bound {error}) differs from the "
             f"tree's wpl {wpl}"
         )
-    return Solution(cost=wpl, decisions=ds, tree=tree, h_max=h_max)
+    return Solution(cost=wpl, decisions=ds, tree=tree)
 
 
 def solve_with_max_height(inst: ProblemInstance, max_height: int) -> Solution:

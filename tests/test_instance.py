@@ -138,6 +138,21 @@ def test_wpl_arity_mismatch(golden_instance):
         weighted_path_length(External(gap=0, level=0), golden_instance)
 
 
+@pytest.mark.parametrize("keys", [(0, 2), (2, 2)])
+def test_wpl_rejects_mislabelled_keys(keys):
+    # k1 at root, k2 its right child: 1 * 1 + 5 * 2 = 11. Relabelled, the
+    # key counts still match, and key 0 would read beta[-1].
+    inst = ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=(0, 0, 0))
+
+    def tree(k1, k2):
+        right = Internal(key=k2, level=1, left=External(1, 2), right=External(2, 2))
+        return Internal(key=k1, level=0, left=External(0, 1), right=right)
+
+    assert weighted_path_length(tree(1, 2), inst) == 11
+    with pytest.raises(InstanceError, match="first difference at in-order node 1"):
+        weighted_path_length(tree(*keys), inst)
+
+
 def test_tree_height():
     assert tree_height(golden_tree()) == 3
     single = build_tree_from_decisions(DecisionSequence(levels=(0,), h_max=1), 1)

@@ -12,21 +12,18 @@ from nearheight import (
     InfeasibleHeightError,
     ProblemInstance,
     backward_pass,
+    build_tree_from_decisions,
     forward_pass,
-    gap_level,
     generate_random_instance,
     h_min,
     solve,
     solve_with_max_height,
-    stage_cost,
-    terminal_cost,
     tree_height,
     weighted_path_length,
 )
 from nearheight import solver
 from nearheight.oracles import knuth_unrestricted
 from nearheight.solver import _kernel_pass, solution_from_obj
-from nearheight.states import transition
 
 
 def bits(*levels):
@@ -34,46 +31,6 @@ def bits(*levels):
     for i in levels:
         s |= 1 << i
     return s
-
-
-def test_gap_level():
-    assert gap_level(1, 2) == 3
-    assert gap_level(0, 1) == 2
-    with pytest.raises(ValueError):
-        gap_level(2, 2)
-    with pytest.raises(ValueError):
-        gap_level(-1, 0)
-
-
-def test_stage_cost_examples(golden_instance):
-    assert stage_cost(golden_instance, 1, 0, 1) == Fraction(3, 8)
-    assert stage_cost(golden_instance, 2, bits(1), 2) == Fraction(3, 16)
-
-
-def test_stage_cost_zero_weights():
-    inst = ProblemInstance(beta=(Fraction(0), Fraction(1)), alpha=(0, 0, 0))
-    assert stage_cost(inst, 1, 0, 1) == 0
-
-
-def test_stage_cost_includes_gap_term():
-    inst = ProblemInstance(beta=(Fraction(1, 2), Fraction(1, 4)), alpha=(Fraction(1, 8),) * 3)
-    # stage 2 from state (1,0): gap between keys at levels 0 and 1 sits on level 2
-    assert stage_cost(inst, 2, bits(0), 1) == 2 * Fraction(1, 8) + 2 * Fraction(1, 4)
-
-
-def test_stage_cost_rejects_infeasible(golden_instance):
-    with pytest.raises(ValueError):
-        stage_cost(golden_instance, 1, bits(0), 0)
-
-
-def test_terminal_cost(golden_instance):
-    assert terminal_cost(golden_instance, bits(0, 2)) == inf
-    assert terminal_cost(golden_instance, bits(0, 1)) == 0
-    inst = ProblemInstance(
-        beta=(Fraction(1, 2), Fraction(1, 4)),
-        alpha=(0, 0, Fraction(1, 8)),
-    )
-    assert terminal_cost(inst, bits(0, 1)) == Fraction(1, 4)
 
 
 def test_backward_pass_golden(golden_instance):
@@ -144,20 +101,15 @@ def test_solve_with_max_height(golden_instance):
 
 
 def test_telescoping_identity():
+    """The reference pass's V_1(0) is the weighted path length of the tree
+    its decisions build."""
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 12)
         delta = rng.randint(0, 2)
         inst = generate_random_instance(n, rng.randint(0, 10**6))
-        tables = backward_pass(inst, h_min(n) + delta)
-        cost, ds = forward_pass(tables)
-        s = 0
-        total = Fraction(0)
-        for nu, a in enumerate(ds.levels, start=1):
-            total += stage_cost(inst, nu, s, a)
-            s = transition(s, a)
-        total += terminal_cost(inst, s)
-        assert total == cost
+        cost, ds = forward_pass(backward_pass(inst, h_min(n) + delta))
+        assert cost == weighted_path_length(build_tree_from_decisions(ds, n), inst)
 
 
 def test_monotone_in_delta():
@@ -231,9 +183,9 @@ def _mark_every_margin_thin(monkeypatch):
     reruns on the exact object dtype."""
     real = solver._backward
 
-    def every_margin_thin(alpha, beta, h_max, dtype, dead, thin_at=None):
-        value, policies = real(alpha, beta, h_max, dtype, dead, thin_at)
-        if thin_at is not None:
+    def every_margin_thin(alpha, beta, h_max, dtype, dead, certify):
+        value, policies = real(alpha, beta, h_max, dtype, dead, certify)
+        if certify:
             policies |= solver._THIN
         return value, policies
 
@@ -283,6 +235,61 @@ def test_exact_ties_take_the_exact_path(n, d):
         assert path == ("object" if n % 2 == 0 else "int64-floored"), delta
         assert got_ds == ds, delta
         assert low <= cost <= low + error, delta
+
+
+def _grid_shift_search(total, h_max, slack):
+    """The smallest K at which the packed top of a pass on weights floored
+    to 2^K fits int64, found by stepping up from a few bits below the
+    estimate: the search that solver._grid_bits puts in closed form."""
+
+    def top(shift):
+        bound = (h_max + 1) * (total >> shift)
+        return ((2 * bound + slack) << solver._LEVEL_BITS) | solver._LEVEL_MASK
+
+    shift = max(0, top(0).bit_length() - 66)
+    while top(shift) > solver._INT64_MAX:
+        shift += 1
+    return shift
+
+
+def test_grid_bits_matches_search():
+    rng = random.Random(53)
+    room = solver._INT64_MAX >> solver._LEVEL_BITS
+    for _ in range(1500):
+        n = rng.randint(1, 16000)
+        h_max = rng.randint(1, 24)
+        for slack in (1, (h_max + 1) * (2 * n + 1) + 2):
+            cap = (room - slack) // (2 * (h_max + 1))
+            # every K steps up where total crosses (cap + 1) << K
+            edge = (cap + 1) << rng.randint(0, 300)
+            totals = [rng.getrandbits(rng.randint(1, 4000))]
+            totals += [edge + d for d in range(-3, 4)]
+            for total in totals:
+                want = _grid_shift_search(total, h_max, slack)
+                assert solver._grid_bits(total, h_max, slack) == want, (total, h_max, slack)
+
+
+def test_grid_boundary_total():
+    """An integer-weight instance whose total is the largest with every
+    exact packed value in int64 takes the exact "int64" path; one more
+    unit of weight takes "int64-floored"."""
+    rng = random.Random(59)
+    n = 12
+    for delta in range(3):
+        h_max = h_min(n) + delta
+        largest = ((solver._INT64_MAX >> solver._LEVEL_BITS) - 1) // (2 * (h_max + 1))
+        weights = [rng.randint(1, largest // (2 * n + 1)) for _ in range(2 * n + 1)]
+        weights[0] += largest - sum(weights)
+        for extra, want in ((0, "int64"), (1, "int64-floored")):
+            inst = ProblemInstance(
+                beta=tuple(weights[:n]), alpha=(weights[n] + extra,) + tuple(weights[n + 1 :])
+            )
+            assert inst.integer_weights()[0] == 1
+            cost, ds = forward_pass(backward_pass(inst, h_max))
+            low, error, got_ds, path = _kernel_pass(inst, h_max)
+            assert path == want and (error == 0) == (extra == 0), delta
+            assert got_ds == ds, delta
+            assert low <= cost <= low + error, delta
 
 
 def test_kernel_matches_reference_on_ties():

@@ -239,13 +239,14 @@ def count_keys(root: Node) -> int:
     return sum(1 for nd in inorder(root) if isinstance(nd, Internal))
 
 
-def weighted_path_length(root: Node, inst: ProblemInstance) -> Fraction:
+def weighted_path_length(root: Node, inst: ProblemInstance, *, weights=None) -> Fraction:
     """sum beta_i * (b_i + 1) + sum alpha_j * a_j, exact: summed over the
-    integer weights of inst.integer_weights().
+    integer weights of inst.integer_weights(), or over `weights` when a
+    caller that already holds that triple passes it.
 
     The in-order walk must read gap 0, key 1, gap 1, ..., key n, gap n;
     any other labelling raises InstanceError."""
-    d, alpha, beta = inst.integer_weights()
+    d, alpha, beta = inst.integer_weights() if weights is None else weights
     n = inst.n
     total = 0
     i = 0  # in-order position: gap j sits at 2j, key j+1 at 2j+1
@@ -279,18 +280,27 @@ def tree_to_obj(root: Node) -> dict:
 
 
 def tree_from_obj(obj) -> Node:
-    if not isinstance(obj, dict):
-        raise InstanceError("tree node must be a JSON object")
-    if "key" in obj:
-        return Internal(
-            key=obj["key"],
-            level=obj["level"],
-            left=tree_from_obj(obj["left"]),
-            right=tree_from_obj(obj["right"]),
-        )
-    if "gap" in obj:
-        return External(gap=obj["gap"], level=obj["level"])
-    raise InstanceError("tree node needs 'key' or 'gap'")
+    """Read a tree from its JSON object form. The root must be at level 0
+    and every child one level below its parent; weighted_path_length reads
+    the levels, so any other level raises InstanceError."""
+
+    def node(obj, level):
+        if not isinstance(obj, dict):
+            raise InstanceError("tree node must be a JSON object")
+        if obj.get("level") != level:
+            raise InstanceError(f"tree node at depth {level} has level {obj.get('level')!r}")
+        if "key" in obj:
+            return Internal(
+                key=obj["key"],
+                level=level,
+                left=node(obj["left"], level + 1),
+                right=node(obj["right"], level + 1),
+            )
+        if "gap" in obj:
+            return External(gap=obj["gap"], level=level)
+        raise InstanceError("tree node needs 'key' or 'gap'")
+
+    return node(obj, 0)
 
 
 def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:

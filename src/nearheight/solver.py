@@ -10,16 +10,18 @@ path. On the "int64-floored" path (K >= 1) every decision the forward walk
 uses must beat the runner-up by more than the rounding bound
 E_nu = (h+1)(2(n-nu)+3) grid units, and states whose margin is thinner carry
 a flag in the policy; when the walk meets one, the pass reruns in exact
-Python ints, the "object" path. The dict-based backward_pass/forward_pass
-over the reachable sets of states.StageSets is the reference the tests
-compare it with; solve() never calls it. Both compute on
-ProblemInstance.integer_weights() and break value ties toward the smallest
-level, with bit-identical decisions.
-solve() rebuilds the tree with build_tree_from_decisions, which replays the
-decisions through the state machine once, and reports the tree's weighted
-path length, summed over the same integers, as the cost. It checks that the
-kernel's value lies at most its rounding bound (0 on the exact paths) below
-it.
+Python ints, the "object" path. A stage relaxes the deep levels below
+_FUSED_LEVELS of the states below 2^(_FUSED_LEVELS-1) in one gather and one
+segmented minimum, and each deeper level as one contiguous block. The
+dict-based backward_pass/forward_pass over the reachable sets of
+states.StageSets is the reference the tests compare it with; solve() never
+calls it. Both compute on ProblemInstance.integer_weights() and break value
+ties toward the smallest level, with bit-identical decisions.
+solve() scales the weights once, rebuilds the tree with
+build_tree_from_decisions, which replays the decisions through the state
+machine once, and reports the tree's weighted path length, summed over the
+same integers, as the cost. It checks that the kernel's value lies at most
+its rounding bound (0 on the exact paths) below it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +58,10 @@ _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 # Policy bit of a floored decision whose margin is too thin to certify it.
 _THIN = 1 << 6
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Deep levels below this one are relaxed together, in one gather and one
+# segmented minimum per stage: their blocks hold at most 2^(A-1) states, too
+# few to pay for a NumPy call per level. Chosen by timing A = 6..9.
+_FUSED_LEVELS = 8
 
 
 class InfeasibleHeightError(ValueError):
@@ -190,6 +196,53 @@ def _grid_bits(total: int, h_max: int, slack: int) -> int:
     return (total // (cap + 1)).bit_length()
 
 
+class _KernelTables(NamedTuple):
+    """Per-width constants of _backward, of a size that does not grow with
+    2^h_max.
+
+    Pair (g, k) of the (h_max+1)^2 pair-cost vector costs g*alpha + k*beta
+    plus level max(k-1, 0) in the level bits; its index is g*(h_max+1) + k.
+    The fused moves are the deep levels a < A = min(_FUSED_LEVELS, h_max) of
+    the states s < 2^(A-1), state by state: s takes every level a with
+    p(s) < a < A (p the top set bit, -1 for s = 0) to s + 2^a at pair
+    (a+1, a+1). Every such state has at least one, so no segment is empty.
+    """
+
+    gap_coef: np.ndarray  # g of every pair (int64)
+    key_coef: np.ndarray  # k of every pair (int64)
+    level: np.ndarray  # max(k-1, 0) of every pair (int64)
+    fused_next: np.ndarray  # successor s + 2^a of every fused move (intp)
+    fused_pair: np.ndarray  # pair index (a+1)(h_max+2) of every fused move (intp)
+    starts: np.ndarray  # first fused move of each state s < 2^(A-1) (intp)
+    seg: np.ndarray  # the state of every fused move (intp)
+
+
+_KERNEL_CACHE = {}
+
+
+def _kernel_tables(h_max: int) -> _KernelTables:
+    """The _KernelTables of width h_max, built once per width and cached."""
+    cached = _KERNEL_CACHE.get(h_max)
+    if cached is not None:
+        return cached
+    width = h_max + 1
+    gap_coef, key_coef = np.divmod(np.arange(width * width), width)
+    fused = min(_FUSED_LEVELS, h_max)
+    moves = [(s, a) for s in range(1 << (fused - 1)) for a in range(s.bit_length(), fused)]
+    seg, a = np.array(moves, dtype=np.intp).T.copy()
+    tables = _KernelTables(
+        gap_coef,
+        key_coef,
+        np.maximum(key_coef - 1, 0),
+        seg + (1 << a),
+        (a + 1) * (width + 1),
+        np.flatnonzero(np.diff(seg, prepend=-1)),
+        seg,
+    )
+    _KERNEL_CACHE[h_max] = tables
+    return tables
+
+
 def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     """Packed backward pass over all 2^h_max states.
 
@@ -200,10 +253,18 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     pass also tracks the second-best candidate of every state and sets _THIN
     in the policy where second - best is at most E_nu + 1 grid units, with
     E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
+
+    A stage relaxes the shallow level of every state in one gather, the deep
+    levels a < A = min(_FUSED_LEVELS, h_max) of the states below 2^(A-1) in
+    one gather and one segmented minimum over the fused moves of
+    _kernel_tables, and each deep level a >= A as one contiguous block of
+    2^a states. That is 14 + 2(h_max-A) NumPy calls per stage, and
+    25 + 4(h_max-A) with certify.
     """
     n = len(beta)
     size = 1 << h_max
     tab = st.decision_table(h_max)
+    kt = _kernel_tables(h_max)
     # The shallow decision q-1 of state s costs (1+p)*alpha + q*beta. Pair
     # (1+p, q) has index (1+p)*(h_max+1) + q; index 0 (cost 0, level 0)
     # stands for states without a shallow decision. The cached top is int8,
@@ -211,9 +272,7 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     width = h_max + 1
     top = tab.top.astype(np.int64)
     pair = np.where(tab.shallow >= 0, (top + 1) * width + tab.shallow + 1, 0)
-    gap_coef, key_coef = np.divmod(np.arange(width * width), width)
-    gap_coef, key_coef = gap_coef.astype(dtype), key_coef.astype(dtype)
-    level = np.maximum(key_coef - 1, 0)
+    gap_coef, key_coef, level = (c.astype(dtype, copy=False) for c in kt[:3])
 
     # v: the next stage's packed values with the level bits cleared; slot
     # `size` stays dead as the successor of states without a shallow level
@@ -222,12 +281,24 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
         v[(1 << k) - 1] = (k * alpha[n]) << _LEVEL_BITS  # levels 0..k-1 occupied
     best = np.empty(size, dtype=dtype)
     cand = np.empty(size, dtype=dtype)
-    # deep level a takes state s < 2^a to s + 2^a: three views per level
-    deep = [(v[1 << a : 2 << a], best[: 1 << a], cand[: 1 << a]) for a in range(h_max)]
+    fused = min(_FUSED_LEVELS, h_max)
+    low_best = best[: 1 << (fused - 1)]
+    moves = np.empty(len(kt.seg), dtype=dtype)
+    move_cost = np.empty_like(moves)
+    seg_best = np.empty_like(low_best)
+    # deep level a >= A takes state s < 2^a to s + 2^a: three views per level
+    deep = [
+        (a, v[1 << a : 2 << a], best[: 1 << a], cand[: 1 << a]) for a in range(fused, h_max)
+    ]
     if certify:
         # second: the runner-up, or a dead candidate when there is none
         second = np.empty(size, dtype=dtype)
-        runner_up = [second[: 1 << a] for a in range(h_max)]
+        low_second = second[: 1 << (fused - 1)]
+        runner_up = [second[: 1 << a] for a in range(fused, h_max)]
+        seg_second = np.empty_like(seg_best)
+        merged = np.empty_like(seg_best)
+        spread = np.empty_like(moves)
+        is_best = np.empty(len(moves), dtype=bool)
         thin = np.empty(size, dtype=bool)
     policies = np.empty((n, size), dtype=np.int8)
     for nu in range(n, 0, -1):
@@ -239,13 +310,30 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
         best += cand
         if certify:
             np.maximum(best, dead << _LEVEL_BITS, out=second)
+        v.take(kt.fused_next, out=moves, mode="clip")
+        pair_cost.take(kt.fused_pair, out=move_cost, mode="clip")
+        moves += move_cost
+        np.minimum.reduceat(moves, kt.starts, out=seg_best)
+        if certify:
+            # the packed candidates of a state differ in their level bits,
+            # so with its best masked, a state's minimum is its runner-up;
+            # the runner-up of the union of two candidate sets is
+            # min(max(best, seg_best), second, seg_second)
+            seg_best.take(kt.seg, out=spread, mode="clip")
+            np.equal(moves, spread, out=is_best)
+            np.putmask(moves, is_best, _INT64_MAX)
+            np.minimum.reduceat(moves, kt.starts, out=seg_second)
+            np.maximum(low_best, seg_best, out=merged)
+            np.minimum(merged, low_second, out=merged)
+            np.minimum(merged, seg_second, out=low_second)
+        np.minimum(low_best, seg_best, out=low_best)
         w = a_w + b_w  # a deep level a costs (a+1)*(alpha+beta)
-        for a, (succ, b, c) in enumerate(deep):
+        for i, (a, succ, b, c) in enumerate(deep):
             np.add(succ, (a + 1) * w + a, out=c)
             if certify:
                 # best <= second, so the new runner-up is the median of
                 # (best, second, c): max(best, min(second, c))
-                s2 = runner_up[a]
+                s2 = runner_up[i]
                 np.minimum(s2, c, out=s2)
                 np.maximum(s2, b, out=s2)
             np.minimum(b, c, out=b)
@@ -278,10 +366,9 @@ def _walk(policies):
     return levels
 
 
-def _kernel_pass(
-    inst: ProblemInstance, h_max: int
-) -> Tuple[Fraction, Fraction, DecisionSequence, str]:
-    """Backward and forward pass over all 2^h_max states, in NumPy.
+def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSequence, str]:
+    """Backward and forward pass over all 2^h_max states, in NumPy, on the
+    integer weights (d, alpha, beta) of ProblemInstance.integer_weights().
 
     Returns (cost, error, decisions, path): the optimal cost lies in
     [cost, cost + error], and error is 0 unless the path is "int64-floored".
@@ -305,9 +392,9 @@ def _kernel_pass(
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
     """
-    n = inst.n
+    denom, alpha, beta = weights
+    n = len(beta)
     st.check_policy_size(n, h_max)
-    denom, alpha, beta = inst.integer_weights()
     total = sum(alpha) + sum(beta)
     error = 0 if _grid_bits(total, h_max, 1) == 0 else (h_max + 1) * (2 * n + 1)  # E_1
     slack = error + 2 if error else 1
@@ -349,12 +436,13 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
     inst.require_valid()
     n = inst.n
     h_max = height_bound(n, delta)
+    weights = inst.integer_weights()
     if n == 0:
         low, error, ds = Fraction(0), Fraction(0), DecisionSequence(levels=(), h_max=0)
     else:
-        low, error, ds, _path = _kernel_pass(inst, h_max)
+        low, error, ds, _path = _kernel_pass(weights, h_max)
     tree = build_tree_from_decisions(ds, n)
-    wpl = weighted_path_length(tree, inst)
+    wpl = weighted_path_length(tree, inst, weights=weights)
     if not low <= wpl <= low + error:
         raise RuntimeError(
             f"solver cost {low} (rounding bound {error}) differs from the "

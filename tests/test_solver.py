@@ -10,6 +10,7 @@ from nearheight import (
     DecisionSequence,
     External,
     InfeasibleHeightError,
+    InstanceError,
     ProblemInstance,
     backward_pass,
     build_tree_from_decisions,
@@ -23,6 +24,7 @@ from nearheight import (
 )
 from nearheight import solver
 from nearheight.oracles import knuth_unrestricted
+from nearheight.states import feasible_decisions, transition
 from nearheight.solver import _kernel_pass, solution_from_obj
 
 
@@ -66,6 +68,21 @@ def test_solve_golden(golden_instance):
     assert sol.decisions.levels == (1, 2, 0, 1)
     assert tree_height(sol.tree) == 3
     assert sol.h_max == 3
+
+
+def test_solve_scales_the_weights_once(monkeypatch, golden_instance):
+    """The kernel and the cost check share one integer scaling per solve."""
+    calls = []
+    real = ProblemInstance.integer_weights
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ProblemInstance, "integer_weights", counted)
+    solve(golden_instance, 0)
+    solve(generate_random_instance(100, 3, dist="zipf"), 1)
+    assert len(calls) == 2
 
 
 def test_solve_empty_instance():
@@ -169,7 +186,7 @@ def test_engines_agree():
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        low, error, got_ds, path = _kernel_pass(inst, h_max)
+        low, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
         assert got_ds == ds, (n, delta, dist)
         assert low <= cost <= low + error, (n, delta, dist)
         if n > 40 and dist == "zipf":
@@ -199,10 +216,10 @@ def test_floored_path_matches_object_path(monkeypatch, n):
     for delta in range(3):
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist="zipf")
         h_max = min(h_min(n) + delta, n)
-        cases.append((inst, h_max, _kernel_pass(inst, h_max)))
+        cases.append((inst, h_max, _kernel_pass(inst.integer_weights(), h_max)))
     _mark_every_margin_thin(monkeypatch)
     for inst, h_max, (low, error, ds, path) in cases:
-        cost, zero, exact_ds, exact_path = _kernel_pass(inst, h_max)
+        cost, zero, exact_ds, exact_path = _kernel_pass(inst.integer_weights(), h_max)
         assert (path, exact_path) == ("int64-floored", "object")
         assert ds == exact_ds
         assert zero == 0 and low <= cost <= low + error
@@ -220,18 +237,20 @@ def _mirrored(n, d):
 
 
 @pytest.mark.parametrize("d", [2**61 - 1, 2**89 - 1])
-@pytest.mark.parametrize("n", [6, 7, 30, 31])
+@pytest.mark.parametrize("n", [6, 7, 30, 31, 254, 255])
 def test_exact_ties_take_the_exact_path(n, d):
     """A mirror-symmetric instance with an even n has an optimal tree and
     its distinct mirror image, so the walk meets an exact tie, which floored
     values cannot certify: the kernel must fall back to the exact pass and
-    keep the smallest level. With an odd n the optimum is unique."""
+    keep the smallest level. With an odd n the optimum is unique. At
+    n = 254 and 255 the widths 8..10 reach the deep levels on both sides of
+    _FUSED_LEVELS."""
     inst = _mirrored(n, d)
     assert inst.common_denominator() == d
     for delta in range(3):
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        low, error, got_ds, path = _kernel_pass(inst, h_max)
+        low, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
         assert path == ("object" if n % 2 == 0 else "int64-floored"), delta
         assert got_ds == ds, delta
         assert low <= cost <= low + error, delta
@@ -286,7 +305,7 @@ def test_grid_boundary_total():
             )
             assert inst.integer_weights()[0] == 1
             cost, ds = forward_pass(backward_pass(inst, h_max))
-            low, error, got_ds, path = _kernel_pass(inst, h_max)
+            low, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
             assert path == want and (error == 0) == (extra == 0), delta
             assert got_ds == ds, delta
             assert low <= cost <= low + error, delta
@@ -294,10 +313,13 @@ def test_grid_boundary_total():
 
 def test_kernel_matches_reference_on_ties():
     """Weights in {0, 1, 2} make many decisions tie; both passes must pick
-    the smallest level."""
+    the smallest level. The last three cases run at widths above
+    _FUSED_LEVELS, where fused and contiguous deep levels compete."""
     rng = random.Random(41)
-    for n in range(1, 41):
-        delta = rng.randint(0, 3)
+    wide = solver._FUSED_LEVELS + 1
+    cases = [(n, rng.randint(0, 3)) for n in range(1, 41)]
+    cases += [(n, wide + i - h_min(n)) for i, n in enumerate((60, 90, 120))]
+    for n, delta in cases:
         beta = tuple(Fraction(rng.randint(0, 2)) for _ in range(n))
         if n % 3 == 0:
             alpha = (Fraction(0),) * (n + 1)
@@ -308,9 +330,42 @@ def test_kernel_matches_reference_on_ties():
         inst = ProblemInstance(beta=beta, alpha=alpha)
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        got_cost, error, got_ds, path = _kernel_pass(inst, h_max)
+        got_cost, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
         assert (got_cost, got_ds) == (cost, ds), (n, delta)
         assert (path, error) == ("int64", 0)
+
+
+@pytest.mark.parametrize("h_max", range(1, 13))
+def test_fused_moves_closed_form(h_max):
+    """The fused moves list, for every state s < 2^(A-1) with
+    A = min(_FUSED_LEVELS, h_max), exactly the feasible levels a with
+    p(s) < a < A (p the top set bit, -1 for s = 0), in ascending order, with
+    successor transition(s, a) and pair index (a+1)(h_max+2), the pair of
+    cost (a+1)(alpha+beta) and level a."""
+    kt = solver._kernel_tables(h_max)
+    fused = min(solver._FUSED_LEVELS, h_max)
+    want, starts = [], []
+    for s in range(1 << (fused - 1)):
+        starts.append(len(want))
+        for a in feasible_decisions(s, h_max):
+            if s.bit_length() - 1 < a < fused:
+                want.append((s, transition(s, a), (a + 1) * (h_max + 2)))
+                pair = (a + 1) * (h_max + 2)
+                assert kt.gap_coef[pair] == kt.key_coef[pair] == a + 1
+                assert kt.level[pair] == a
+    got = list(zip(kt.seg.tolist(), kt.fused_next.tolist(), kt.fused_pair.tolist()))
+    assert got == want
+    assert kt.starts.tolist() == starts
+    assert len(got) == (1 << fused) - 1
+
+
+def test_cached_tables_stay_within_ten_bytes_per_state():
+    """The arrays cached for a width, its decision table and the kernel's
+    constants, take at most 10 bytes per state plus a fixed allowance."""
+    for h_max in range(1, 17):
+        solve(generate_random_instance(h_max, h_max), h_max)  # clamped to width n
+        cached = list(solver.st._TABLE_CACHE[h_max]) + list(solver._KERNEL_CACHE[h_max])
+        assert sum(a.nbytes for a in cached) <= 10 * (1 << h_max) + 64 * 1024, h_max
 
 
 def test_numpy_engine_never_falls_back(monkeypatch):
@@ -360,8 +415,8 @@ def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):
     real = solver._kernel_pass
     shift = {}
 
-    def wrong_cost(inst, h_max):
-        cost, error, ds, path = real(inst, h_max)
+    def wrong_cost(weights, h_max):
+        cost, error, ds, path = real(weights, h_max)
         return cost + shift[path](error), error, ds, path
 
     monkeypatch.setattr(solver, "_kernel_pass", wrong_cost)
@@ -398,6 +453,24 @@ def test_fast_engine_relaxation_count_matches_tables():
         h_max = h_min(n) + delta
         tables = backward_pass(inst, h_max)
         assert tables.relaxations == sum(stage_counts(n, h_max)[1])
+
+
+def test_solution_reader_checks_levels():
+    """A solution read from outside whose node levels do not follow the
+    tree's shape is refused, not scored: with gap 2 moved to level 0 the
+    levels would give a wpl of 11 for a tree whose wpl is 12."""
+    inst = ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=(1, 1, 1))
+    obj = json.loads(json.dumps(solve(inst, 0).to_obj()))
+    assert obj["wpl"] == "12"
+    gap2 = obj["tree"]["right"]
+    assert gap2 == {"gap": 2, "level": 1}
+    gap2["level"] = 0
+    with pytest.raises(InstanceError, match="depth 1 has level 0"):
+        solution_from_obj(obj)
+    gap2["level"] = 1
+    obj["tree"]["level"] = 1
+    with pytest.raises(InstanceError, match="depth 0 has level 1"):
+        solution_from_obj(obj)
 
 
 def test_solution_json_round_trip(golden_instance):

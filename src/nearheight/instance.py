@@ -47,14 +47,15 @@ def height_bound(n: int, delta: int) -> int:
     return min(h_min(n) + delta, n)
 
 
-_WEIGHT_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_WEIGHT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_weight(text: str) -> Fraction:
-    """Parse a rational literal: INT or INT/POSINT, nonnegative."""
+    """Parse a rational literal: INT or INT/POSINT, nonnegative, in ASCII
+    digits and nothing else, not even a trailing newline."""
     if not isinstance(text, str):
         raise InstanceError(f"rational literal must be a string, got {type(text).__name__}")
-    m = _WEIGHT_RE.match(text)
+    m = _WEIGHT_RE.fullmatch(text)
     if not m:
         raise InstanceError(f"bad rational literal {text!r}")
     num = int(m.group(1))
@@ -96,11 +97,12 @@ class ProblemInstance:
             problems.append(
                 f"alpha length must be n+1 = {len(self.beta) + 1}, got {len(self.alpha)}"
             )
+        # the weights are Fractions, whose sign is the numerator's
         for i, b in enumerate(self.beta):
-            if b < 0:
+            if b.numerator < 0:
                 problems.append(f"beta[{i}] = {b} is negative")
         for j, a in enumerate(self.alpha):
-            if a < 0:
+            if a.numerator < 0:
                 problems.append(f"alpha[{j}] = {a} is negative")
         if self.keys is not None:
             if len(self.keys) != len(self.beta):
@@ -290,6 +292,8 @@ def tree_from_obj(obj) -> Node:
         if obj.get("level") != level:
             raise InstanceError(f"tree node at depth {level} has level {obj.get('level')!r}")
         if "key" in obj:
+            if "left" not in obj or "right" not in obj:
+                raise InstanceError("internal tree node needs 'left' and 'right'")
             return Internal(
                 key=obj["key"],
                 level=level,

@@ -1,27 +1,28 @@
 """Backward-induction solver for height-bounded optimal binary search trees.
 
 Stage nu places key k_nu on a level; states are rightmost-path bit masks.
-solve() runs one NumPy kernel over the closed-form decision sets of
-states.decision_table, for height bounds (instance.height_bound) up to
-states.TABLE_MAX_WIDTH and policies up to states.POLICY_MAX_BYTES. The
-kernel is one int64 pass on the weights floored to a 2^K grid, with K the
-smallest grid whose packed values fit int64. K = 0 is the exact "int64"
-path. On the "int64-floored" path (K >= 1) every decision the forward walk
-uses must beat the runner-up by more than the rounding bound
-E_nu = (h+1)(2(n-nu)+3) grid units, and states whose margin is thinner carry
-a flag in the policy; when the walk meets one, the pass reruns in exact
-Python ints, the "object" path. A stage relaxes the deep levels below
+solve() runs one NumPy kernel over the closed-form decision sets of every
+state, listed once per width as the moves of _kernel_tables, for height
+bounds (instance.height_bound) up to states.TABLE_MAX_WIDTH and policies up
+to states.POLICY_MAX_BYTES. The kernel is one int64 pass on the weights
+floored to a 2^K grid, with K the smallest grid whose packed values fit
+int64. K = 0 is the exact "int64" path. On the "int64-floored" path
+(K >= 1) every decision the forward walk uses must beat the runner-up by
+more than the rounding bound E_nu = (h+1)(2(n-nu)+3) grid units, and states
+whose margin is thinner carry a flag in the policy; when the walk meets
+one, the pass reruns in exact Python ints, the "object" path. A stage
+relaxes the shallow level of every state and the deep levels below
 _FUSED_LEVELS of the states below 2^(_FUSED_LEVELS-1) in one gather and one
 segmented minimum, and each deeper level as one contiguous block. The
 dict-based backward_pass/forward_pass over the reachable sets of
 states.StageSets is the reference the tests compare it with; solve() never
 calls it. Both compute on ProblemInstance.integer_weights() and break value
-ties toward the smallest level, with bit-identical decisions.
-solve() scales the weights once, rebuilds the tree with
-build_tree_from_decisions, which replays the decisions through the state
-machine once, and reports the tree's weighted path length, summed over the
-same integers, as the cost. It checks that the kernel's value lies at most
-its rounding bound (0 on the exact paths) below it.
+ties toward the smallest level, with bit-identical decisions. solve()
+scales the weights once, rebuilds the tree with build_tree_from_decisions,
+which replays the decisions through the state machine once, and reports the
+tree's weighted path length, summed over the same integers, as the cost. It
+checks that the kernel's value lies at most its rounding bound (0 on the
+exact paths) below it.
 """
 
 from __future__ import annotations
@@ -197,23 +198,27 @@ def _grid_bits(total: int, h_max: int, slack: int) -> int:
 
 
 class _KernelTables(NamedTuple):
-    """Per-width constants of _backward, of a size that does not grow with
-    2^h_max.
+    """Per-width move table of _backward, 10 bytes per state.
 
     Pair (g, k) of the (h_max+1)^2 pair-cost vector costs g*alpha + k*beta
     plus level max(k-1, 0) in the level bits; its index is g*(h_max+1) + k.
-    The fused moves are the deep levels a < A = min(_FUSED_LEVELS, h_max) of
-    the states s < 2^(A-1), state by state: s takes every level a with
-    p(s) < a < A (p the top set bit, -1 for s = 0) to s + 2^a at pair
-    (a+1, a+1). Every such state has at least one, so no segment is empty.
+    Let p be the top set bit of s (-1 for s = 0) and q the lowest bit of the
+    run of set bits ending at p. Then D(s) = {q-1 if q >= 1} | {p+1, ...,
+    h_max-1}. Move s < 2^h_max is the shallow level q-1 of state s, to
+    transition(s, q-1) at pair (1+p, q); a state without one moves to the
+    dead slot 2^h_max at pair 0 (cost 0, level 0). After them come the fused
+    moves, the deep levels a < A = min(_FUSED_LEVELS, h_max) of the states
+    s < 2^(A-1), state by state: s takes every level a with p < a < A to
+    s + 2^a at pair (a+1, a+1). Every such state has at least one, so no
+    segment is empty.
     """
 
     gap_coef: np.ndarray  # g of every pair (int64)
     key_coef: np.ndarray  # k of every pair (int64)
     level: np.ndarray  # max(k-1, 0) of every pair (int64)
-    fused_next: np.ndarray  # successor s + 2^a of every fused move (intp)
-    fused_pair: np.ndarray  # pair index (a+1)(h_max+2) of every fused move (intp)
-    starts: np.ndarray  # first fused move of each state s < 2^(A-1) (intp)
+    succ: np.ndarray  # successor of every move (intp)
+    pair: np.ndarray  # pair index of every move (int16)
+    starts: np.ndarray  # first fused move of each state s < 2^(A-1), from 0 (intp)
     seg: np.ndarray  # the state of every fused move (intp)
 
 
@@ -225,17 +230,29 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     cached = _KERNEL_CACHE.get(h_max)
     if cached is not None:
         return cached
+    size = 1 << h_max
     width = h_max + 1
     gap_coef, key_coef = np.divmod(np.arange(width * width), width)
     fused = min(_FUSED_LEVELS, h_max)
     moves = [(s, a) for s in range(1 << (fused - 1)) for a in range(s.bit_length(), fused)]
     seg, a = np.array(moves, dtype=np.intp).T.copy()
+    s = np.arange(size, dtype=np.intp)
+    top = np.full(size, -1, dtype=np.intp)
+    for i in range(h_max):
+        top[1 << i : 2 << i] = i
+    # complementing bits 0..p turns the run ending at p into zeros, so the
+    # top set bit of what is left is q-1
+    shallow = top[s ^ ((1 << (top + 1)) - 1)]
+    has = shallow >= 0
+    low = 1 << np.maximum(shallow, 0)
     tables = _KernelTables(
         gap_coef,
         key_coef,
         np.maximum(key_coef - 1, 0),
-        seg + (1 << a),
-        (a + 1) * (width + 1),
+        np.concatenate((np.where(has, (s & (low - 1)) | low, size), seg + (1 << a))),
+        np.concatenate(
+            (np.where(has, (top + 1) * width + shallow + 1, 0), (a + 1) * (width + 1))
+        ).astype(np.int16),
         np.flatnonzero(np.diff(seg, prepend=-1)),
         seg,
     )
@@ -254,24 +271,18 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     in the policy where second - best is at most E_nu + 1 grid units, with
     E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
 
-    A stage relaxes the shallow level of every state in one gather, the deep
-    levels a < A = min(_FUSED_LEVELS, h_max) of the states below 2^(A-1) in
-    one gather and one segmented minimum over the fused moves of
-    _kernel_tables, and each deep level a >= A as one contiguous block of
-    2^a states. That is 14 + 2(h_max-A) NumPy calls per stage, and
-    25 + 4(h_max-A) with certify.
+    A stage relaxes every move of _kernel_tables in one gather of the next
+    values and one of the pair costs: the shallow moves give each state its
+    first candidate, and one segmented minimum merges the fused moves into
+    the states below 2^(A-1). Each deep level a >= A is one contiguous block
+    of 2^a states. That is 11 + 2(h_max-A) NumPy calls per stage, and
+    22 + 4(h_max-A) with certify.
     """
     n = len(beta)
     size = 1 << h_max
-    tab = st.decision_table(h_max)
-    kt = _kernel_tables(h_max)
-    # The shallow decision q-1 of state s costs (1+p)*alpha + q*beta. Pair
-    # (1+p, q) has index (1+p)*(h_max+1) + q; index 0 (cost 0, level 0)
-    # stands for states without a shallow decision. The cached top is int8,
-    # where (1+p)*(h_max+1) would wrap from h_max = 11 on: widen it first.
     width = h_max + 1
-    top = tab.top.astype(np.int64)
-    pair = np.where(tab.shallow >= 0, (top + 1) * width + tab.shallow + 1, 0)
+    kt = _kernel_tables(h_max)
+    pair = kt.pair.astype(np.intp)
     gap_coef, key_coef, level = (c.astype(dtype, copy=False) for c in kt[:3])
 
     # v: the next stage's packed values with the level bits cleared; slot
@@ -279,16 +290,16 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     v = np.full(size + 1, dead << _LEVEL_BITS, dtype=dtype)
     for k in range(1, h_max + 1):
         v[(1 << k) - 1] = (k * alpha[n]) << _LEVEL_BITS  # levels 0..k-1 occupied
-    best = np.empty(size, dtype=dtype)
-    cand = np.empty(size, dtype=dtype)
+    moves = np.empty(len(pair), dtype=dtype)
+    move_cost = np.empty_like(moves)
+    best, fused_moves = moves[:size], moves[size:]
     fused = min(_FUSED_LEVELS, h_max)
     low_best = best[: 1 << (fused - 1)]
-    moves = np.empty(len(kt.seg), dtype=dtype)
-    move_cost = np.empty_like(moves)
     seg_best = np.empty_like(low_best)
     # deep level a >= A takes state s < 2^a to s + 2^a: three views per level
     deep = [
-        (a, v[1 << a : 2 << a], best[: 1 << a], cand[: 1 << a]) for a in range(fused, h_max)
+        (a, v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a])
+        for a in range(fused, h_max)
     ]
     if certify:
         # second: the runner-up, or a dead candidate when there is none
@@ -297,32 +308,29 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
         runner_up = [second[: 1 << a] for a in range(fused, h_max)]
         seg_second = np.empty_like(seg_best)
         merged = np.empty_like(seg_best)
-        spread = np.empty_like(moves)
-        is_best = np.empty(len(moves), dtype=bool)
+        spread = np.empty_like(fused_moves)
+        is_best = np.empty(len(fused_moves), dtype=bool)
         thin = np.empty(size, dtype=bool)
     policies = np.empty((n, size), dtype=np.int8)
     for nu in range(n, 0, -1):
         a_w = alpha[nu - 1] << _LEVEL_BITS
         b_w = beta[nu - 1] << _LEVEL_BITS
         pair_cost = gap_coef * a_w + key_coef * b_w + level
-        v.take(tab.shallow_next, out=best, mode="clip")
-        pair_cost.take(pair, out=cand, mode="clip")
-        best += cand
+        v.take(kt.succ, out=moves, mode="clip")
+        pair_cost.take(pair, out=move_cost, mode="clip")
+        moves += move_cost
         if certify:
             np.maximum(best, dead << _LEVEL_BITS, out=second)
-        v.take(kt.fused_next, out=moves, mode="clip")
-        pair_cost.take(kt.fused_pair, out=move_cost, mode="clip")
-        moves += move_cost
-        np.minimum.reduceat(moves, kt.starts, out=seg_best)
+        np.minimum.reduceat(fused_moves, kt.starts, out=seg_best)
         if certify:
             # the packed candidates of a state differ in their level bits,
             # so with its best masked, a state's minimum is its runner-up;
             # the runner-up of the union of two candidate sets is
             # min(max(best, seg_best), second, seg_second)
             seg_best.take(kt.seg, out=spread, mode="clip")
-            np.equal(moves, spread, out=is_best)
-            np.putmask(moves, is_best, _INT64_MAX)
-            np.minimum.reduceat(moves, kt.starts, out=seg_second)
+            np.equal(fused_moves, spread, out=is_best)
+            np.putmask(fused_moves, is_best, _INT64_MAX)
+            np.minimum.reduceat(fused_moves, kt.starts, out=seg_second)
             np.maximum(low_best, seg_best, out=merged)
             np.minimum(merged, low_second, out=merged)
             np.minimum(merged, seg_second, out=low_second)

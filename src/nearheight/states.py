@@ -2,16 +2,16 @@
 
 Bit i of a state records whether level i of the rightmost path currently
 holds a key (level 0 = least significant bit). The scalar functions take a
-state of any width; the tables over all 2^h_max states (decision_table,
-capacity_profile, and the StageSets and stage_counts built on it) refuse
-widths outside 1..TABLE_MAX_WIDTH before allocating anything, and
+state of any width; the tables over all 2^h_max states (capacity_profile,
+and the StageSets and stage_counts built on it) refuse widths outside
+1..TABLE_MAX_WIDTH before allocating anything, and
 check_policy_size refuses the solver's n x 2^h_max policy above
 POLICY_MAX_BYTES.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List
 
 import numpy as np
 
@@ -87,46 +87,6 @@ def state_to_bits(s: int, h_max: int) -> str:
     return "".join("1" if (s >> i) & 1 else "0" for i in range(h_max))
 
 
-class DecisionTable(NamedTuple):
-    """Closed-form decision sets of all 2^h_max states, indexed by state.
-
-    Let p be the top set bit of s and q the lowest bit of the run of set
-    bits ending at p. Then D(s) = {q-1 if q >= 1} | {p+1, ..., h_max-1}
-    (for s = 0, every level). A deep level a > p takes s to s + 2^a; the one
-    shallow level q-1 < p is given here with its successor.
-    """
-
-    top: np.ndarray  # p = precdec(s), -1 for s = 0 (int8)
-    shallow: np.ndarray  # q-1, or -1 when s has no level below p (int8)
-    shallow_next: np.ndarray  # transition(s, q-1), or 2^h_max when none (intp)
-
-
-_TABLE_CACHE = {}
-
-
-def decision_table(h_max: int) -> DecisionTable:
-    """The DecisionTable of width h_max, built once per width and cached
-    at 10 bytes per state."""
-    _check_table_width(h_max)
-    cached = _TABLE_CACHE.get(h_max)
-    if cached is not None:
-        return cached
-    size = 1 << h_max
-    s = np.arange(size, dtype=np.int64)
-    top = np.full(size, -1, dtype=np.int64)
-    for i in range(h_max):
-        top[1 << i : 2 << i] = i
-    # complementing bits 0..p turns the run ending at p into zeros, so the
-    # top set bit of what is left is q-1
-    shallow = top[s ^ ((1 << (top + 1)) - 1)]
-    has = shallow >= 0
-    low = np.where(has, 1 << np.maximum(shallow, 0), 0)
-    shallow_next = np.where(has, (s & (low - 1)) | low, size)
-    table = DecisionTable(top.astype(np.int8), shallow.astype(np.int8), shallow_next)
-    _TABLE_CACHE[h_max] = table
-    return table
-
-
 def capacity_profile(h_max: int):
     """Per-state key-count interval and decision degree, for all 2^h_max states.
 
@@ -134,7 +94,9 @@ def capacity_profile(h_max: int):
     popcount(s) <= m <= sum over set bits i of 2^(h_max-1-i):
     the lower end places one key per occupied rightmost-path level, the
     upper end additionally fills every left subtree hanging off that path.
-    The degree |D(s)| is read off the DecisionTable. Returns
+    The degree |D(s)| counts the levels above the top set bit, plus the one
+    just below the run of set bits ending there unless that run reaches
+    level 0: h_max - bit_length(s) + [s & (s+1) != 0]. Returns
     (min_keys, max_keys, degree) indexed by state, as int64, int64 and int8.
     """
     _check_table_width(h_max)
@@ -145,8 +107,9 @@ def capacity_profile(h_max: int):
         bit = (s >> i) & 1
         min_keys += bit
         max_keys += bit << (h_max - 1 - i)
-    tab = decision_table(h_max)
-    return min_keys, max_keys, (tab.shallow >= 0) + (h_max - 1 - tab.top)
+    _, length = np.frexp(s)  # bit_length(s), exact below 2^53
+    degree = (h_max - length + ((s & (s + 1)) != 0)).astype(np.int8)
+    return min_keys, max_keys, degree
 
 
 def stage_counts(n: int, h_max: int):

@@ -52,10 +52,21 @@ def test_parse_weight(text, value):
     assert parse_weight(text) == value
 
 
-@pytest.mark.parametrize("text", ["3/0", "-1", "1/2/3", "1.5", "", "a", " 1", "1/-2"])
+@pytest.mark.parametrize(
+    "text", ["3/0", "-1", "1/2/3", "1.5", "", "a", " 1", "1/-2", "3\n", "\u0663/4", "\uff11/2"]
+)
 def test_parse_weight_rejects(text):
     with pytest.raises(InstanceError):
         parse_weight(text)
+
+
+@pytest.mark.parametrize("text", ["3\n", "\u0663/4", "\uff11/2"])
+def test_loads_rejects_non_ascii_digits_and_newlines(text):
+    """A trailing newline or a digit outside 0-9 in a weight is refused by
+    the instance reader too."""
+    obj = {"beta": [text], "alpha": ["1", "1"]}
+    with pytest.raises(InstanceError, match="bad rational literal"):
+        ProblemInstance.loads(json.dumps(obj))
 
 
 def test_format_weight_lowest_terms():

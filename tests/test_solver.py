@@ -336,12 +336,34 @@ def test_kernel_matches_reference_on_ties():
 
 
 @pytest.mark.parametrize("h_max", range(1, 13))
+def test_shallow_moves_closed_form(h_max):
+    """Move s of the table is the shallow level of state s, the feasible
+    level q-1 below its top set bit p: to transition(s, q-1) at pair index
+    (1+p)(h_max+1) + q, the pair of cost (1+p)*alpha + q*beta and level
+    q-1. A state without one moves to the dead slot 2^h_max at pair 0, of
+    cost 0 and level 0."""
+    kt = solver._kernel_tables(h_max)
+    size = 1 << h_max
+    assert kt.gap_coef[0] == kt.key_coef[0] == kt.level[0] == 0
+    for s in range(size):
+        p = s.bit_length() - 1
+        shallow = [a for a in feasible_decisions(s, h_max) if a < p]
+        if shallow:
+            (a,) = shallow
+            pair = (1 + p) * (h_max + 1) + a + 1
+            assert (kt.succ[s], kt.pair[s]) == (transition(s, a), pair), bin(s)
+            assert (kt.gap_coef[pair], kt.key_coef[pair], kt.level[pair]) == (1 + p, a + 1, a)
+        else:
+            assert (kt.succ[s], kt.pair[s]) == (size, 0), bin(s)
+
+
+@pytest.mark.parametrize("h_max", range(1, 13))
 def test_fused_moves_closed_form(h_max):
-    """The fused moves list, for every state s < 2^(A-1) with
-    A = min(_FUSED_LEVELS, h_max), exactly the feasible levels a with
-    p(s) < a < A (p the top set bit, -1 for s = 0), in ascending order, with
-    successor transition(s, a) and pair index (a+1)(h_max+2), the pair of
-    cost (a+1)(alpha+beta) and level a."""
+    """The fused moves, after the 2^h_max shallow ones, list, for every
+    state s < 2^(A-1) with A = min(_FUSED_LEVELS, h_max), exactly the
+    feasible levels a with p(s) < a < A (p the top set bit, -1 for s = 0),
+    in ascending order, with successor transition(s, a) and pair index
+    (a+1)(h_max+2), the pair of cost (a+1)(alpha+beta) and level a."""
     kt = solver._kernel_tables(h_max)
     fused = min(solver._FUSED_LEVELS, h_max)
     want, starts = [], []
@@ -353,18 +375,19 @@ def test_fused_moves_closed_form(h_max):
                 pair = (a + 1) * (h_max + 2)
                 assert kt.gap_coef[pair] == kt.key_coef[pair] == a + 1
                 assert kt.level[pair] == a
-    got = list(zip(kt.seg.tolist(), kt.fused_next.tolist(), kt.fused_pair.tolist()))
+    size = 1 << h_max
+    got = list(zip(kt.seg.tolist(), kt.succ[size:].tolist(), kt.pair[size:].tolist()))
     assert got == want
     assert kt.starts.tolist() == starts
     assert len(got) == (1 << fused) - 1
 
 
 def test_cached_tables_stay_within_ten_bytes_per_state():
-    """The arrays cached for a width, its decision table and the kernel's
+    """The arrays cached for a width, the kernel's move table and
     constants, take at most 10 bytes per state plus a fixed allowance."""
     for h_max in range(1, 17):
         solve(generate_random_instance(h_max, h_max), h_max)  # clamped to width n
-        cached = list(solver.st._TABLE_CACHE[h_max]) + list(solver._KERNEL_CACHE[h_max])
+        cached = list(solver._KERNEL_CACHE[h_max])
         assert sum(a.nbytes for a in cached) <= 10 * (1 << h_max) + 64 * 1024, h_max
 
 
@@ -404,7 +427,7 @@ def test_policy_table_refused_before_allocating(monkeypatch):
     def refuse(h_max):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(solver.st, "decision_table", refuse)
+    monkeypatch.setattr(solver, "_kernel_tables", refuse)
     # n = 1000 at width 24: 16 GB of policy
     inst = generate_random_instance(1000, 1)
     with pytest.raises(ValueError, match=f"needs {1000 << 24} bytes"):
@@ -471,6 +494,15 @@ def test_solution_reader_checks_levels():
     obj["tree"]["level"] = 1
     with pytest.raises(InstanceError, match="depth 0 has level 1"):
         solution_from_obj(obj)
+
+
+def test_solution_reader_needs_both_children():
+    """An internal node without its left or right child is refused with
+    InstanceError, not a KeyError."""
+    for tree in ({"key": 1, "level": 0}, {"key": 1, "level": 0, "left": {"gap": 0, "level": 1}}):
+        obj = {"wpl": "2", "decisions": [0], "h_max": 1, "tree": tree}
+        with pytest.raises(InstanceError, match="needs 'left' and 'right'"):
+            solution_from_obj(obj)
 
 
 def test_solution_json_round_trip(golden_instance):

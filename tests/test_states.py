@@ -6,7 +6,6 @@ from nearheight.states import (
     StageSets,
     WidthError,
     capacity_profile,
-    decision_table,
     feasible_decisions,
     is_feasible,
     is_terminal_valid,
@@ -36,8 +35,9 @@ def bits(*levels):
 
 
 def test_tables_refuse_width_zero():
-    with pytest.raises(WidthError, match="h_max must be in 1..24, got 0"):
-        decision_table(0)
+    for build in (capacity_profile, lambda h: stage_counts(100, h)):
+        with pytest.raises(WidthError, match="h_max must be in 1..24, got 0"):
+            build(0)
 
 
 def test_is_feasible_all_zero():
@@ -194,34 +194,34 @@ def test_stage_counts_match_sets(n, h_max):
 
 
 def test_degree_counts_decisions():
-    _, _, degree = capacity_profile(4)
-    for s in range(1 << 4):
-        assert degree[s] == len(feasible_decisions(s, 4))
+    """The degree h_max - bit_length(s) + [s & (s+1) != 0] of
+    capacity_profile counts the feasible levels of every state."""
+    for h_max in range(1, 13):
+        _, _, degree = capacity_profile(h_max)
+        for s in range(1 << h_max):
+            assert degree[s] == len(feasible_decisions(s, h_max)), (h_max, bin(s))
 
 
 @pytest.mark.parametrize("h_max", range(1, 13))
 def test_decision_table_closed_form(h_max):
     """D(s) = {q-1 if q >= 1} | {p+1..h_max-1}, with p the top set bit of s
     and q the lowest bit of the run of set bits ending at p, equals the
-    literal feasibility test on every state."""
-    tab = decision_table(h_max)
-    _, _, degree = capacity_profile(h_max)
+    literal feasibility test on every state. The kernel's move table and the
+    degree of capacity_profile are built on this form."""
     for s in range(1 << h_max):
-        shallow = int(tab.shallow[s])
-        closed = ([shallow] if shallow >= 0 else []) + list(range(int(tab.top[s]) + 1, h_max))
+        p = s.bit_length() - 1
+        q = p
+        while q > 0 and (s >> (q - 1)) & 1:
+            q -= 1
+        closed = ([q - 1] if q >= 1 else []) + list(range(p + 1, h_max))
         assert closed == feasible_decisions(s, h_max), bin(s)
-        assert degree[s] == len(closed)
-        if shallow >= 0:
-            assert tab.shallow_next[s] == transition(s, shallow)
-        else:
-            assert tab.shallow_next[s] == 1 << h_max
 
 
 @pytest.mark.parametrize("h_max", [40, 62])
 def test_tables_refuse_wide_widths(h_max):
     """Every table over all 2^h_max states refuses a width above 24 before
     allocating; the scalar functions take a state of any width."""
-    for build in (decision_table, capacity_profile, lambda h: stage_counts(100, h)):
+    for build in (capacity_profile, lambda h: stage_counts(100, h)):
         with pytest.raises(WidthError, match=f"height bound {h_max} above"):
             build(h_max)
     with pytest.raises(ValueError, match=f"height bound {h_max} above"):

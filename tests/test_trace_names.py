@@ -38,18 +38,44 @@ def run_module():
                 sys.modules[name] = mod
 
 
-def resolve(path, attr):
+# The names perfbench/run.py and perfbench/workloads.py call besides WRAPPED:
+# the output gate, the oracle, the count self-check, set-up, the CLI and
+# codec loops, and instance generation. run.py skips some of them when they
+# are missing, which would silently blank or weaken its checks.
+CALLED_BY_PERFBENCH = [
+    "instance.weighted_path_length",
+    "instance.tree_height",
+    "instance.count_keys",
+    "instance.key_levels",
+    "oracles.height_restricted_dp",
+    "states.stage_counts",
+    "states.capacity_profile",
+    "solver.solution_from_obj",
+    "cli.main",
+    "ProblemInstance.loads",
+    "ProblemInstance.dumps",
+    "generate_random_instance",
+    "h_min",
+    "solve",
+]
+
+
+def resolve(name):
     owner = nearheight
-    for part in path.split("."):
+    for part in name.split("."):
         owner = getattr(owner, part)
-    return getattr(owner, attr)
+    return owner
 
 
 def test_every_wrapped_name_resolves(run_module):
     assert run_module.WRAPPED
     for path, attr, span in run_module.WRAPPED:
-        assert callable(resolve(path, attr)), span
+        assert callable(resolve(f"{path}.{attr}")), span
 
+
+@pytest.mark.parametrize("name", CALLED_BY_PERFBENCH)
+def test_every_called_name_resolves(name):
+    assert callable(resolve(name)), name
 
 
 def test_solve_calls_rebuild_and_check_once(monkeypatch, golden_instance):

@@ -44,31 +44,33 @@ class _Parser(argparse.ArgumentParser):
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        print(f"cannot read input: {e}", file=sys.stderr)
+        raise _UsageExit() from e
 
 
 def _write_output(path: str, data: str):
-    if path == "-":
-        sys.stdout.write(data)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(data)
-
-
-def _load_instance(path: str) -> ProblemInstance:
-    return ProblemInstance.loads(_read_input(path))
-
-
-def _solve_from_args(args, inst: ProblemInstance):
-    if args.max_height is not None:
-        return solve_with_max_height(inst, args.max_height)
-    return solve(inst, args.delta)
+    try:
+        if path == "-":
+            sys.stdout.write(data)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data)
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
+        raise _UsageExit() from e
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.input)
-    sol = _solve_from_args(args, inst)
+    inst = ProblemInstance.loads(_read_input(args.input))
+    if args.max_height is not None:
+        sol = solve_with_max_height(inst, args.max_height)
+    else:
+        sol = solve(inst, args.delta)
     if args.format == "json":
         out = json.dumps(sol.to_obj(), indent=2) + "\n"
     elif args.format == "dot":
@@ -215,6 +217,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageExit:
         return EXIT_USAGE
+    # weights and costs may have more than the 4300 digits Python converts
+    # between int and str by default
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InstanceError as e:
@@ -223,12 +230,14 @@ def main(argv=None) -> int:
     except InfeasibleHeightError as e:
         print(f"infeasible height bound: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE_HEIGHT
-    except FileNotFoundError as e:
-        print(f"cannot read input: {e}", file=sys.stderr)
+    except _UsageExit:
         return EXIT_USAGE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

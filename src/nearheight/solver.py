@@ -11,8 +11,8 @@ int64. K = 0 is the exact "int64" path. On the "int64-floored" path
 more than the rounding bound E_nu = (h+1)(2(n-nu)+3) grid units, and states
 whose margin is thinner carry a flag in the policy; when the walk meets
 one, the pass reruns in exact Python ints, the "object" path. A stage
-relaxes the shallow level of every state and the deep levels below
-_FUSED_LEVELS of the states below 2^(_FUSED_LEVELS-1) in one gather and one
+relaxes every level below A = min(_FUSED_LEVELS, h) of each state below
+2^(A-1), and the shallow level of every other state, in one gather and one
 segmented minimum, and each deeper level as one contiguous block. The
 dict-based backward_pass/forward_pass over the reachable sets of
 states.StageSets is the reference the tests compare it with; solve() never
@@ -59,9 +59,10 @@ _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 # Policy bit of a floored decision whose margin is too thin to certify it.
 _THIN = 1 << 6
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Deep levels below this one are relaxed together, in one gather and one
-# segmented minimum per stage: their blocks hold at most 2^(A-1) states, too
-# few to pay for a NumPy call per level. Chosen by timing A = 6..9.
+# The levels below this one of the states below 2^(A-1) are relaxed in one
+# gather and one segmented minimum per stage: as blocks, they would hold at
+# most 2^(A-1) states, too few to pay for a NumPy call per level. Chosen by
+# timing A = 6..9.
 _FUSED_LEVELS = 8
 
 
@@ -203,14 +204,13 @@ class _KernelTables(NamedTuple):
     Pair (g, k) of the (h_max+1)^2 pair-cost vector costs g*alpha + k*beta
     plus level max(k-1, 0) in the level bits; its index is g*(h_max+1) + k.
     Let p be the top set bit of s (-1 for s = 0) and q the lowest bit of the
-    run of set bits ending at p. Then D(s) = {q-1 if q >= 1} | {p+1, ...,
-    h_max-1}. Move s < 2^h_max is the shallow level q-1 of state s, to
-    transition(s, q-1) at pair (1+p, q); a state without one moves to the
-    dead slot 2^h_max at pair 0 (cost 0, level 0). After them come the fused
-    moves, the deep levels a < A = min(_FUSED_LEVELS, h_max) of the states
-    s < 2^(A-1), state by state: s takes every level a with p < a < A to
-    s + 2^a at pair (a+1, a+1). Every such state has at least one, so no
-    segment is empty.
+    run of set bits ending at p: D(s) = {q-1 if q >= 1} | {p+1, ..., h_max-1}.
+    With A = min(_FUSED_LEVELS, h_max), the moves are the shallow level q-1
+    of each state s >= 2^(A-1), in order, then one segment per state
+    s < 2^(A-1) listing its levels below A in ascending order (never empty).
+    Every move (s, a) goes to transition(s, a) at pair (1+max(p, a), a+1); a
+    state without a shallow level moves to the dead slot 2^h_max at pair 0
+    (cost 0, level 0).
     """
 
     gap_coef: np.ndarray  # g of every pair (int64)
@@ -218,8 +218,8 @@ class _KernelTables(NamedTuple):
     level: np.ndarray  # max(k-1, 0) of every pair (int64)
     succ: np.ndarray  # successor of every move (intp)
     pair: np.ndarray  # pair index of every move (int16)
-    starts: np.ndarray  # first fused move of each state s < 2^(A-1), from 0 (intp)
-    seg: np.ndarray  # the state of every fused move (intp)
+    starts: np.ndarray  # first move of each segment, from the first segment (intp)
+    seg: np.ndarray  # the state of every segment move (intp)
 
 
 _KERNEL_CACHE = {}
@@ -234,25 +234,22 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     width = h_max + 1
     gap_coef, key_coef = np.divmod(np.arange(width * width), width)
     fused = min(_FUSED_LEVELS, h_max)
-    moves = [(s, a) for s in range(1 << (fused - 1)) for a in range(s.bit_length(), fused)]
-    seg, a = np.array(moves, dtype=np.intp).T.copy()
-    s = np.arange(size, dtype=np.intp)
-    top = np.full(size, -1, dtype=np.intp)
-    for i in range(h_max):
-        top[1 << i : 2 << i] = i
-    # complementing bits 0..p turns the run ending at p into zeros, so the
-    # top set bit of what is left is q-1
-    shallow = top[s ^ ((1 << (top + 1)) - 1)]
-    has = shallow >= 0
-    low = 1 << np.maximum(shallow, 0)
+    low = 1 << (fused - 1)
+    segments = [(s, a) for s in range(low) for a in st.feasible_decisions(s, fused)]
+    seg, seg_level = np.array(segments, dtype=np.intp).T.copy()
+    s = np.concatenate((np.arange(low, size), seg))
+    p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
+    # complementing bits 0..p turns the run ending at p into zeros, so the top
+    # set bit of what is left is q-1, the shallow level; segments keep theirs
+    a = np.frexp(s ^ ((1 << (p + 1)) - 1))[1] - 1
+    a[size - low :] = seg_level
+    bit = 1 << np.maximum(a, 0)
     tables = _KernelTables(
         gap_coef,
         key_coef,
         np.maximum(key_coef - 1, 0),
-        np.concatenate((np.where(has, (s & (low - 1)) | low, size), seg + (1 << a))),
-        np.concatenate(
-            (np.where(has, (top + 1) * width + shallow + 1, 0), (a + 1) * (width + 1))
-        ).astype(np.int16),
+        np.where(a >= 0, (s & (bit - 1)) | bit, size),
+        np.where(a >= 0, (1 + np.maximum(p, a)) * width + a + 1, 0).astype(np.int16),
         np.flatnonzero(np.diff(seg, prepend=-1)),
         seg,
     )
@@ -272,11 +269,11 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
 
     A stage relaxes every move of _kernel_tables in one gather of the next
-    values and one of the pair costs: the shallow moves give each state its
-    first candidate, and one segmented minimum merges the fused moves into
-    the states below 2^(A-1). Each deep level a >= A is one contiguous block
-    of 2^a states. That is 11 + 2(h_max-A) NumPy calls per stage, and
-    22 + 4(h_max-A) with certify.
+    values and one of the pair costs: the shallow moves give each state
+    s >= 2^(A-1) its first candidate, and one segmented minimum gives each
+    state below 2^(A-1) its best level below A. Each deep level a >= A is
+    one contiguous block of 2^a states. That is 10 + 2(h_max-A) NumPy calls
+    per stage, and 18 + 4(h_max-A) with certify.
     """
     n = len(beta)
     size = 1 << h_max
@@ -284,18 +281,19 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     kt = _kernel_tables(h_max)
     pair = kt.pair.astype(np.intp)
     gap_coef, key_coef, level = (c.astype(dtype, copy=False) for c in kt[:3])
+    fused = min(_FUSED_LEVELS, h_max)
+    low = 1 << (fused - 1)
 
     # v: the next stage's packed values with the level bits cleared; slot
     # `size` stays dead as the successor of states without a shallow level
     v = np.full(size + 1, dead << _LEVEL_BITS, dtype=dtype)
     for k in range(1, h_max + 1):
         v[(1 << k) - 1] = (k * alpha[n]) << _LEVEL_BITS  # levels 0..k-1 occupied
-    moves = np.empty(len(pair), dtype=dtype)
-    move_cost = np.empty_like(moves)
-    best, fused_moves = moves[:size], moves[size:]
-    fused = min(_FUSED_LEVELS, h_max)
-    low_best = best[: 1 << (fused - 1)]
-    seg_best = np.empty_like(low_best)
+    # the best of every state, then the segments: the gathers fill moves[low:]
+    moves = np.empty(low + len(pair), dtype=dtype)
+    move_cost = np.empty(len(pair), dtype=dtype)
+    gathered, best, seg_moves = moves[low:], moves[:size], moves[size:]
+    low_best = best[:low]
     # deep level a >= A takes state s < 2^a to s + 2^a: three views per level
     deep = [
         (a, v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a])
@@ -304,37 +302,28 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
     if certify:
         # second: the runner-up, or a dead candidate when there is none
         second = np.empty(size, dtype=dtype)
-        low_second = second[: 1 << (fused - 1)]
+        low_second = second[:low]
         runner_up = [second[: 1 << a] for a in range(fused, h_max)]
-        seg_second = np.empty_like(seg_best)
-        merged = np.empty_like(seg_best)
-        spread = np.empty_like(fused_moves)
-        is_best = np.empty(len(fused_moves), dtype=bool)
+        spread = np.empty_like(seg_moves)
+        is_best = np.empty(len(seg_moves), dtype=bool)
         thin = np.empty(size, dtype=bool)
     policies = np.empty((n, size), dtype=np.int8)
     for nu in range(n, 0, -1):
         a_w = alpha[nu - 1] << _LEVEL_BITS
         b_w = beta[nu - 1] << _LEVEL_BITS
         pair_cost = gap_coef * a_w + key_coef * b_w + level
-        v.take(kt.succ, out=moves, mode="clip")
+        v.take(kt.succ, out=gathered, mode="clip")
         pair_cost.take(pair, out=move_cost, mode="clip")
-        moves += move_cost
+        gathered += move_cost
+        np.minimum.reduceat(seg_moves, kt.starts, out=low_best)
         if certify:
             np.maximum(best, dead << _LEVEL_BITS, out=second)
-        np.minimum.reduceat(fused_moves, kt.starts, out=seg_best)
-        if certify:
             # the packed candidates of a state differ in their level bits,
-            # so with its best masked, a state's minimum is its runner-up;
-            # the runner-up of the union of two candidate sets is
-            # min(max(best, seg_best), second, seg_second)
-            seg_best.take(kt.seg, out=spread, mode="clip")
-            np.equal(fused_moves, spread, out=is_best)
-            np.putmask(fused_moves, is_best, _INT64_MAX)
-            np.minimum.reduceat(fused_moves, kt.starts, out=seg_second)
-            np.maximum(low_best, seg_best, out=merged)
-            np.minimum(merged, low_second, out=merged)
-            np.minimum(merged, seg_second, out=low_second)
-        np.minimum(low_best, seg_best, out=low_best)
+            # so with its best masked, a segment's minimum is its runner-up
+            low_best.take(kt.seg, out=spread, mode="clip")
+            np.equal(seg_moves, spread, out=is_best)
+            np.putmask(seg_moves, is_best, _INT64_MAX)
+            np.minimum.reduceat(seg_moves, kt.starts, out=low_second)
         w = a_w + b_w  # a deep level a costs (a+1)*(alpha+beta)
         for i, (a, succ, b, c) in enumerate(deep):
             np.add(succ, (a + 1) * w + a, out=c)

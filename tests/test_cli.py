@@ -1,4 +1,6 @@
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -129,6 +131,53 @@ def test_usage_error(capsys):
 
 def test_missing_input_file(capsys):
     assert run(["solve", "-i", "/no/such/file.json"], capsys)[0] == 1
+
+
+def test_input_directory(tmp_path, capsys):
+    code, _, err = run(["solve", "-i", str(tmp_path)], capsys)
+    assert code == 1
+    assert "cannot read input" in err
+
+
+def test_output_in_missing_directory(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.json"
+    code, _, err = run(["gen", "--n", "3", "-o", str(out_path)], capsys)
+    assert code == 1
+    assert "cannot write output" in err and not out_path.exists()
+
+
+@contextmanager
+def any_int_digits():
+    """Lift Python's limit on int <-> str conversion, where it has one."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [
+        # denominators of 2201 digits: the wpl's has 4401
+        [f"1/{10**2200 + 1}", f"1/{10**2200 + 3}"],
+        # a 5000-digit literal
+        ["1" + "0" * 4999, "1"],
+    ],
+)
+def test_solve_weights_wider_than_the_digit_limit(beta, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"beta": beta, "alpha": ["0", "0", "0"]}))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(["solve", "-i", str(path)], capsys)
+    assert code == 0, err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with any_int_digits():
+        inst = ProblemInstance.loads(path.read_text())
+        assert json.loads(out)["wpl"] == format_weight(solve(inst, 0).cost)
 
 
 def test_gen_deterministic(capsys):

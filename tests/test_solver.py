@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -335,51 +336,115 @@ def test_kernel_matches_reference_on_ties():
         assert (path, error) == ("int64", 0)
 
 
+def _scalar_stage(v_next, alpha, beta, h_max):
+    """Best and runner-up packed candidate of every state of one stage, over
+    the finite values v_next (None where dead), as (best, second) with None
+    for no candidate."""
+    out = []
+    for s in range(1 << h_max):
+        p = s.bit_length() - 1
+        cands = []
+        for a in feasible_decisions(s, h_max):
+            cont = v_next[transition(s, a)]
+            if cont is not None:
+                cost = cont + (1 + max(p, a)) * alpha + (a + 1) * beta
+                cands.append((cost << solver._LEVEL_BITS) | a)
+        out.append((sorted(cands) + [None, None])[:2])
+    return out
+
+
+def test_thin_flags_match_scalar_margins():
+    """_backward with certify, on exact int64 weights: at every state with a
+    finite value the level bits are the smallest-level argmin, and _THIN is
+    set exactly where the runner-up candidate is at most (E_nu+1) << 5 above
+    the best, both taken over the packed finite candidates. Widths run past
+    _FUSED_LEVELS, so segments, shallow moves and deep blocks all count."""
+    rng = random.Random(67)
+    thin_seen = sure_seen = 0
+    for h_max in range(1, solver._FUSED_LEVELS + 3):
+        for dist in ("uniform", "zipf", "ties"):
+            n = rng.randint(min(h_max, (1 << h_max) - 1), min(h_max + 3, (1 << h_max) - 1))
+            if dist == "ties":
+                beta = tuple(Fraction(rng.randint(0, 2)) for _ in range(n))
+                alpha = tuple(Fraction(rng.randint(0, 2)) for _ in range(n + 1))
+                inst = ProblemInstance(beta=(Fraction(1),) + beta[1:], alpha=alpha)
+            else:
+                inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
+            _, alpha, beta = inst.integer_weights()
+            total = sum(alpha) + sum(beta)
+            dead = (h_max + 1) * total + (h_max + 1) * (2 * n + 1) + 2
+            value, policies = solver._backward(alpha, beta, h_max, np.int64, dead, True)
+            v_next = [None] * (1 << h_max)
+            for k in range(1, h_max + 1):
+                v_next[(1 << k) - 1] = k * alpha[n]
+            for nu in range(n, 0, -1):
+                margin = ((h_max + 1) * (2 * (n - nu) + 3) + 1) << solver._LEVEL_BITS
+                stage = _scalar_stage(v_next, alpha[nu - 1], beta[nu - 1], h_max)
+                pol = policies[nu - 1].tolist()
+                for s, (best, second) in enumerate(stage):
+                    if best is None:
+                        continue
+                    thin = second is not None and second - best <= margin
+                    assert pol[s] == (best & solver._LEVEL_MASK) | (solver._THIN * thin), (
+                        h_max, dist, nu, bin(s),
+                    )
+                    thin_seen += thin
+                    sure_seen += not thin
+                v_next = [None if c is None else c >> solver._LEVEL_BITS for c, _ in stage]
+            assert value == v_next[0]
+    assert thin_seen and sure_seen
+
+
 @pytest.mark.parametrize("h_max", range(1, 13))
 def test_shallow_moves_closed_form(h_max):
-    """Move s of the table is the shallow level of state s, the feasible
-    level q-1 below its top set bit p: to transition(s, q-1) at pair index
+    """The first moves of the table are the shallow levels of the states
+    s >= 2^(A-1), with A = min(_FUSED_LEVELS, h_max), in order: the feasible
+    level q-1 below the top set bit p, to transition(s, q-1) at pair index
     (1+p)(h_max+1) + q, the pair of cost (1+p)*alpha + q*beta and level
     q-1. A state without one moves to the dead slot 2^h_max at pair 0, of
     cost 0 and level 0."""
     kt = solver._kernel_tables(h_max)
     size = 1 << h_max
+    low = 1 << (min(solver._FUSED_LEVELS, h_max) - 1)
     assert kt.gap_coef[0] == kt.key_coef[0] == kt.level[0] == 0
-    for s in range(size):
+    for s in range(low, size):
         p = s.bit_length() - 1
         shallow = [a for a in feasible_decisions(s, h_max) if a < p]
+        move = s - low
         if shallow:
             (a,) = shallow
             pair = (1 + p) * (h_max + 1) + a + 1
-            assert (kt.succ[s], kt.pair[s]) == (transition(s, a), pair), bin(s)
+            assert (kt.succ[move], kt.pair[move]) == (transition(s, a), pair), bin(s)
             assert (kt.gap_coef[pair], kt.key_coef[pair], kt.level[pair]) == (1 + p, a + 1, a)
         else:
-            assert (kt.succ[s], kt.pair[s]) == (size, 0), bin(s)
+            assert (kt.succ[move], kt.pair[move]) == (size, 0), bin(s)
 
 
 @pytest.mark.parametrize("h_max", range(1, 13))
 def test_fused_moves_closed_form(h_max):
-    """The fused moves, after the 2^h_max shallow ones, list, for every
-    state s < 2^(A-1) with A = min(_FUSED_LEVELS, h_max), exactly the
-    feasible levels a with p(s) < a < A (p the top set bit, -1 for s = 0),
-    in ascending order, with successor transition(s, a) and pair index
-    (a+1)(h_max+2), the pair of cost (a+1)(alpha+beta) and level a."""
+    """The segments, after the 2^h_max - 2^(A-1) shallow moves, list, for
+    every state s < 2^(A-1) with A = min(_FUSED_LEVELS, h_max), exactly
+    feasible_decisions(s, A), in ascending order, the shallow level
+    included, with successor transition(s, a) and pair index
+    (1+max(p, a))(h_max+1) + a+1 (p the top set bit, -1 for s = 0), the
+    pair of cost (1+max(p, a))*alpha + (a+1)*beta and level a."""
     kt = solver._kernel_tables(h_max)
     fused = min(solver._FUSED_LEVELS, h_max)
+    low = 1 << (fused - 1)
     want, starts = [], []
-    for s in range(1 << (fused - 1)):
+    for s in range(low):
         starts.append(len(want))
-        for a in feasible_decisions(s, h_max):
-            if s.bit_length() - 1 < a < fused:
-                want.append((s, transition(s, a), (a + 1) * (h_max + 2)))
-                pair = (a + 1) * (h_max + 2)
-                assert kt.gap_coef[pair] == kt.key_coef[pair] == a + 1
-                assert kt.level[pair] == a
-    size = 1 << h_max
-    got = list(zip(kt.seg.tolist(), kt.succ[size:].tolist(), kt.pair[size:].tolist()))
+        levels = feasible_decisions(s, fused)
+        assert levels == sorted(levels) and levels
+        for a in levels:
+            gap = 1 + max(s.bit_length() - 1, a)
+            pair = gap * (h_max + 1) + a + 1
+            want.append((s, transition(s, a), pair))
+            assert (kt.gap_coef[pair], kt.key_coef[pair], kt.level[pair]) == (gap, a + 1, a)
+    first = (1 << h_max) - low
+    got = list(zip(kt.seg.tolist(), kt.succ[first:].tolist(), kt.pair[first:].tolist()))
     assert got == want
     assert kt.starts.tolist() == starts
-    assert len(got) == (1 << fused) - 1
 
 
 def test_cached_tables_stay_within_ten_bytes_per_state():

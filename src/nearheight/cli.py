@@ -120,11 +120,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n_max > oracles.MAX_ENUM_KEYS:
-        print(
-            f"verify: n-max capped at {oracles.MAX_ENUM_KEYS}", file=sys.stderr
+    if not 1 <= args.n_max <= oracles.MAX_ENUM_KEYS or args.trials < 1 or args.delta_max < 0:
+        raise ValueError(
+            f"verify needs 1 <= n-max <= {oracles.MAX_ENUM_KEYS}, trials >= 1, delta-max >= 0"
         )
-        return EXIT_USAGE
     failures = 0
     for n in range(1, args.n_max + 1):
         for delta in range(args.delta_max + 1):

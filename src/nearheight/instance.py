@@ -65,6 +65,13 @@ def parse_weight(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def json_int(value, what: str) -> int:
+    """value, refused with InstanceError unless it is an int and not a bool."""
+    if type(value) is not int:
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def format_weight(w: Fraction) -> str:
     """Lowest-terms literal, e.g. '25/16' or '0'."""
     if w.denominator == 1:
@@ -289,19 +296,19 @@ def tree_from_obj(obj) -> Node:
     def node(obj, level):
         if not isinstance(obj, dict):
             raise InstanceError("tree node must be a JSON object")
-        if obj.get("level") != level:
+        if type(obj.get("level")) is not int or obj["level"] != level:
             raise InstanceError(f"tree node at depth {level} has level {obj.get('level')!r}")
         if "key" in obj:
             if "left" not in obj or "right" not in obj:
                 raise InstanceError("internal tree node needs 'left' and 'right'")
             return Internal(
-                key=obj["key"],
+                key=json_int(obj["key"], "key"),
                 level=level,
                 left=node(obj["left"], level + 1),
                 right=node(obj["right"], level + 1),
             )
         if "gap" in obj:
-            return External(gap=obj["gap"], level=level)
+            return External(gap=json_int(obj["gap"], "gap"), level=level)
         raise InstanceError("tree node needs 'key' or 'gap'")
 
     return node(obj, 0)

@@ -7,19 +7,20 @@ bounds (instance.height_bound) up to states.TABLE_MAX_WIDTH and policies up
 to states.POLICY_MAX_BYTES. The kernel is one int64 pass on the weights
 floored to a 2^K grid, with K the smallest grid whose packed values fit
 int64. K = 0 is the exact "int64" path. On the "int64-floored" path
-(K >= 1) every decision the forward walk uses must beat the runner-up by
-more than the rounding bound E_nu = (h+1)(2(n-nu)+3) grid units, and states
-whose margin is thinner carry a flag in the policy; when the walk meets
-one, the pass reruns in exact Python ints, the "object" path. A stage
-relaxes every level below A = min(_FUSED_LEVELS, h) of each state below
-2^(A-1), and the shallow level of every other state, in one gather and one
-segmented minimum, and each deeper level as one contiguous block. The
-dict-based backward_pass/forward_pass over the reachable sets of
-states.StageSets is the reference the tests compare it with; solve() never
-calls it. Both compute on ProblemInstance.integer_weights() and break value
-ties toward the smallest level, with bit-identical decisions. solve()
-scales the weights once, rebuilds the tree with build_tree_from_decisions,
-which replays the decisions through the state machine once, and reports the
+(K >= 1) every decision the forward walk uses must beat each other
+candidate of its state by more than the rounding bound E_nu =
+(h+1)(2(n-nu)+3) grid units, which a second pass checks at the walked
+states only; when a margin is thinner, the pass reruns in exact Python
+ints, the "object" path. A stage relaxes every level below
+A = min(_FUSED_LEVELS, h) of each state below 2^(A-1), and the shallow
+level of every other state, in one gather and one segmented minimum, and
+each deeper level as one contiguous block. The dict-based
+backward_pass/forward_pass over the reachable sets of states.StageSets is
+the reference the tests compare it with; solve() never calls it. Both
+compute on ProblemInstance.integer_weights() and break value ties toward
+the smallest level, with bit-identical decisions. solve() scales the
+weights once, rebuilds the tree with build_tree_from_decisions, which
+replays the decisions through the state machine once, and reports the
 tree's weighted path length, summed over the same integers, as the cost. It
 checks that the kernel's value lies at most its rounding bound (0 on the
 exact paths) below it.
@@ -56,8 +57,6 @@ INFINITY = inf
 # minimum finds the lowest value and, among equal values, the smallest level.
 _LEVEL_BITS = 5
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
-# Policy bit of a floored decision whose margin is too thin to certify it.
-_THIN = 1 << 6
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # The levels below this one of the states below 2^(A-1) are relaxed in one
 # gather and one segmented minimum per stage: as blocks, they would hold at
@@ -106,11 +105,12 @@ class Solution:
 
 def solution_from_obj(obj: dict) -> "Solution":
     """Rebuild a Solution from its JSON object form."""
-    from .instance import parse_weight, tree_from_obj
+    from .instance import json_int, parse_weight, tree_from_obj
 
+    levels = tuple(json_int(a, "decision") for a in obj["decisions"])
     return Solution(
         cost=parse_weight(obj["wpl"]),
-        decisions=DecisionSequence(levels=tuple(obj["decisions"]), h_max=obj["h_max"]),
+        decisions=DecisionSequence(levels=levels, h_max=json_int(obj["h_max"], "h_max")),
         tree=tree_from_obj(obj["tree"]),
     )
 
@@ -219,7 +219,6 @@ class _KernelTables(NamedTuple):
     succ: np.ndarray  # successor of every move (intp)
     pair: np.ndarray  # pair index of every move (int16)
     starts: np.ndarray  # first move of each segment, from the first segment (intp)
-    seg: np.ndarray  # the state of every segment move (intp)
 
 
 _KERNEL_CACHE = {}
@@ -236,7 +235,7 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     fused = min(_FUSED_LEVELS, h_max)
     low = 1 << (fused - 1)
     segments = [(s, a) for s in range(low) for a in st.feasible_decisions(s, fused)]
-    seg, seg_level = np.array(segments, dtype=np.intp).T.copy()
+    seg, seg_level = np.array(segments, dtype=np.intp).T
     s = np.concatenate((np.arange(low, size), seg))
     p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
     # complementing bits 0..p turns the run ending at p into zeros, so the top
@@ -251,33 +250,30 @@ def _kernel_tables(h_max: int) -> _KernelTables:
         np.where(a >= 0, (s & (bit - 1)) | bit, size),
         np.where(a >= 0, (1 + np.maximum(p, a)) * width + a + 1, 0).astype(np.int16),
         np.flatnonzero(np.diff(seg, prepend=-1)),
-        seg,
     )
     _KERNEL_CACHE[h_max] = tables
     return tables
 
 
-def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
+def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     """Packed backward pass over all 2^h_max states.
 
-    Returns V_1(0) and the n x 2^h_max int8 policy. The kernel evaluates
+    Returns V_1(0) and what the pass keeps of each stage nu: its int8
+    policy over all states, or, given an n x h_max array of states succ,
+    the packed next values V_{nu+1} at succ[nu-1]. The kernel evaluates
     every state of the width, reachable or not, which leaves the values of
-    reachable states unchanged. Values at or above `dead` stand for
-    infinity; a dead V_1(0) raises InfeasibleHeightError. With certify, the
-    pass also tracks the second-best candidate of every state and sets _THIN
-    in the policy where second - best is at most E_nu + 1 grid units, with
-    E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
+    reachable states unchanged. Values at or above `dead`, and the dead slot
+    2^h_max, stand for infinity; a dead V_1(0) raises InfeasibleHeightError.
 
     A stage relaxes every move of _kernel_tables in one gather of the next
     values and one of the pair costs: the shallow moves give each state
     s >= 2^(A-1) its first candidate, and one segmented minimum gives each
     state below 2^(A-1) its best level below A. Each deep level a >= A is
     one contiguous block of 2^a states. That is 10 + 2(h_max-A) NumPy calls
-    per stage, and 18 + 4(h_max-A) with certify.
+    per stage, whatever the pass keeps.
     """
     n = len(beta)
     size = 1 << h_max
-    width = h_max + 1
     kt = _kernel_tables(h_max)
     pair = kt.pair.astype(np.intp)
     gap_coef, key_coef, level = (c.astype(dtype, copy=False) for c in kt[:3])
@@ -299,15 +295,7 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
         (a, v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a])
         for a in range(fused, h_max)
     ]
-    if certify:
-        # second: the runner-up, or a dead candidate when there is none
-        second = np.empty(size, dtype=dtype)
-        low_second = second[:low]
-        runner_up = [second[: 1 << a] for a in range(fused, h_max)]
-        spread = np.empty_like(seg_moves)
-        is_best = np.empty(len(seg_moves), dtype=bool)
-        thin = np.empty(size, dtype=bool)
-    policies = np.empty((n, size), dtype=np.int8)
+    kept = np.empty((n, size), np.int8) if succ is None else np.empty(succ.shape, dtype)
     for nu in range(n, 0, -1):
         a_w = alpha[nu - 1] << _LEVEL_BITS
         b_w = beta[nu - 1] << _LEVEL_BITS
@@ -316,51 +304,60 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, certify: bool):
         pair_cost.take(pair, out=move_cost, mode="clip")
         gathered += move_cost
         np.minimum.reduceat(seg_moves, kt.starts, out=low_best)
-        if certify:
-            np.maximum(best, dead << _LEVEL_BITS, out=second)
-            # the packed candidates of a state differ in their level bits,
-            # so with its best masked, a segment's minimum is its runner-up
-            low_best.take(kt.seg, out=spread, mode="clip")
-            np.equal(seg_moves, spread, out=is_best)
-            np.putmask(seg_moves, is_best, _INT64_MAX)
-            np.minimum.reduceat(seg_moves, kt.starts, out=low_second)
         w = a_w + b_w  # a deep level a costs (a+1)*(alpha+beta)
-        for i, (a, succ, b, c) in enumerate(deep):
-            np.add(succ, (a + 1) * w + a, out=c)
-            if certify:
-                # best <= second, so the new runner-up is the median of
-                # (best, second, c): max(best, min(second, c))
-                s2 = runner_up[i]
-                np.minimum(s2, c, out=s2)
-                np.maximum(s2, b, out=s2)
+        for a, succ_v, b, c in deep:
+            np.add(succ_v, (a + 1) * w + a, out=c)
             np.minimum(b, c, out=b)
-        pol = policies[nu - 1]
-        np.bitwise_and(best, _LEVEL_MASK, out=pol, casting="unsafe")
-        if certify:
-            e_nu = width * (2 * (n - nu) + 3)
-            np.subtract(second, best, out=second)
-            np.less_equal(second, (e_nu + 1) << _LEVEL_BITS, out=thin)
-            np.bitwise_or(pol, _THIN, out=pol, where=thin)
+        if succ is None:
+            np.bitwise_and(best, _LEVEL_MASK, out=kept[nu - 1], casting="unsafe")
+        else:
+            v.take(succ[nu - 1], out=kept[nu - 1], mode="clip")
         np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
 
     value = int(v[0]) >> _LEVEL_BITS
     if value >= dead:
         raise InfeasibleHeightError("no feasible tree within the height bound")
-    return value, policies
+    return value, kept
 
 
 def _walk(policies):
-    """Decisions along the policy from the all-zero state, or None when a
-    visited state carries _THIN."""
-    levels = []
+    """Decisions along the policy from the all-zero state, and the states
+    they are taken in."""
+    levels, visited = [], []
     s = 0
     for pol in policies:
         a = int(pol[s])
-        if a & _THIN:
-            return None
         levels.append(a)
+        visited.append(s)
         s = (s & ((1 << a) - 1)) | (1 << a)
-    return levels
+    return levels, visited
+
+
+def _thin_margins(alpha, beta, h_max: int, dead: int, visited):
+    """Which walked decisions of a pass on the weights (alpha, beta) have a
+    margin too thin to certify them, as n booleans.
+
+    A second pass keeps V_{nu+1} at the successor transition(s, a) of the
+    visited state s of every stage nu and every level a, the dead slot
+    2^h_max where a is not feasible in s. With p the top set bit of s, the
+    packed candidate of a is that value plus (1+max(p, a))*alpha + (a+1)*beta
+    and level a, and the least one is the walked decision's. Entry nu-1 is
+    True when another candidate is at most (E_nu+1) << _LEVEL_BITS above it,
+    with E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
+    """
+    n = len(beta)
+    s = np.array(visited)[:, None]
+    a = np.arange(h_max)
+    p = np.frexp(s)[1] - 1  # the top set bit and the shallow level, as in _kernel_tables
+    shallow = np.frexp(s ^ ((1 << (p + 1)) - 1))[1] - 1
+    bit = 1 << a
+    succ = np.where((a > p) | (a == shallow), (s & (bit - 1)) | bit, 1 << h_max)
+    _, cand = _backward(alpha, beta, h_max, np.int64, dead, succ)
+    alpha_nu, beta_nu = np.array(alpha[:n])[:, None], np.array(beta)[:, None]
+    cand += (((1 + np.maximum(p, a)) * alpha_nu + (a + 1) * beta_nu) << _LEVEL_BITS) + a
+    cand -= cand.min(axis=1, keepdims=True)
+    e_nu = (h_max + 1) * (2 * (n - np.arange(n)[:, None]) + 1)
+    return np.count_nonzero(cand <= (e_nu + 1) << _LEVEL_BITS, axis=1) > 1
 
 
 def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSequence, str]:
@@ -372,19 +369,20 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     Values are integers over the common denominator d.
 
     One int64 pass runs on the weights floored to multiples of 2^K, with K
-    from _grid_bits. K = 0 when every packed exact value fits int64, with
-    the dead sentinel 1 above every finite value: the pass is exact, the
-    "int64" path. Otherwise K >= 1 is the smallest grid on which the floored
-    values fit with dead E_1 + 2 above them, the "int64-floored" path. In
-    units of 2^K each floored weight is low by less than 1 and every
-    coefficient is at most h+1, so V_nu is low by less than
-    E_nu = (h+1)(2(n-nu)+3) and each stage-nu candidate by less than E_nu as
-    well. A decision whose candidate beats every other one by more than E_nu
-    is the unique exact argmin, so the smallest-level tie rule never decides
-    it and it equals the exact decision. The pass marks every state whose
-    margin is not that wide (_THIN); a dead runner-up, E_1 + 2 above every
-    finite value, never marks a state. When the walk meets a marked state,
-    the pass reruns on the exact weights in Python ints, the "object" path.
+    from _grid_bits, and the walk follows its policy. K = 0 when every
+    packed exact value fits int64, with the dead sentinel 1 above every
+    finite value: the pass is exact, the "int64" path. Otherwise K >= 1 is
+    the smallest grid on which the floored values fit with dead E_1 + 2
+    above them, the "int64-floored" path. In units of 2^K each floored
+    weight is low by less than 1 and every coefficient is at most h+1, so
+    V_nu is low by less than E_nu = (h+1)(2(n-nu)+3) and each stage-nu
+    candidate by less than E_nu as well. A decision whose candidate beats
+    every other one by more than E_nu is the unique exact argmin, which no
+    tie rule decides, so it is the exact decision. _thin_margins checks
+    that at every walked state with one more pass on the floored weights;
+    a dead candidate, E_1 + 2 above every finite value, never fails it. On
+    a thinner margin the pass reruns on the exact weights in Python ints,
+    the "object" path.
 
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
@@ -396,22 +394,17 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     error = 0 if _grid_bits(total, h_max, 1) == 0 else (h_max + 1) * (2 * n + 1)  # E_1
     slack = error + 2 if error else 1
     shift = _grid_bits(total, h_max, slack)
-    value, policies = _backward(
-        [w >> shift for w in alpha],
-        [w >> shift for w in beta],
-        h_max,
-        np.int64,
-        (h_max + 1) * (total >> shift) + slack,
-        shift > 0,
-    )
-    levels = _walk(policies)
-    if levels is not None:
+    floored = [w >> shift for w in alpha], [w >> shift for w in beta]
+    dead = (h_max + 1) * (total >> shift) + slack
+    value, policies = _backward(*floored, h_max, np.int64, dead)
+    levels, visited = _walk(policies)
+    del policies  # before the next pass allocates its own tables
+    if not shift or not _thin_margins(*floored, h_max, dead, visited).any():
         ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
         path = "int64-floored" if shift else "int64"
         return Fraction(value << shift, denom), Fraction(error << shift, denom), ds, path
-    del policies  # before the exact pass allocates its own
-    value, policies = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1, False)
-    ds = DecisionSequence(levels=tuple(_walk(policies)), h_max=h_max)
+    value, policies = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1)
+    ds = DecisionSequence(levels=tuple(_walk(policies)[0]), h_max=h_max)
     return Fraction(value, denom), Fraction(0), ds, "object"
 
 

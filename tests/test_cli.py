@@ -314,8 +314,14 @@ def test_verify_clean(capsys):
     assert "all cases agree" in err
 
 
-def test_verify_vacuous(capsys):
-    assert run(["verify", "--n-max", "0", "--trials", "3"], capsys)[0] == 0
+def test_verify_refuses_empty_ranges(capsys):
+    """A verify run that would check no case is refused, not reported as
+    agreeing."""
+    for flag, value in (("--trials", "0"), ("--n-max", "0"), ("--delta-max", "-1")):
+        code, out, err = run(["verify", "--n-max", "3", "--trials", "2", flag, value], capsys)
+        assert code == 1, flag
+        assert out == "" and "all cases agree" not in err, flag
+        assert "needs 1 <= n-max" in err, flag
 
 
 def test_verify_detects_mismatch(monkeypatch, capsys):

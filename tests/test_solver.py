@@ -199,15 +199,12 @@ def test_engines_agree():
 def _mark_every_margin_thin(monkeypatch):
     """Make every certificate of the floored pass fail, so _kernel_pass
     reruns on the exact object dtype."""
-    real = solver._backward
+    real = solver._thin_margins
 
-    def every_margin_thin(alpha, beta, h_max, dtype, dead, certify):
-        value, policies = real(alpha, beta, h_max, dtype, dead, certify)
-        if certify:
-            policies |= solver._THIN
-        return value, policies
+    def every_margin_thin(*args):
+        return np.ones_like(real(*args))
 
-    monkeypatch.setattr(solver, "_backward", every_margin_thin)
+    monkeypatch.setattr(solver, "_thin_margins", every_margin_thin)
 
 
 @pytest.mark.parametrize("n", [96, 160, 256])
@@ -354,45 +351,55 @@ def _scalar_stage(v_next, alpha, beta, h_max):
 
 
 def test_thin_flags_match_scalar_margins():
-    """_backward with certify, on exact int64 weights: at every state with a
-    finite value the level bits are the smallest-level argmin, and _THIN is
-    set exactly where the runner-up candidate is at most (E_nu+1) << 5 above
-    the best, both taken over the packed finite candidates. Widths run past
-    _FUSED_LEVELS, so segments, shallow moves and deep blocks all count."""
+    """_thin_margins after a plain pass and its walk, on exact int64
+    weights: at every walked state the walked level is the smallest-level
+    argmin, and the margin is thin exactly where the runner-up candidate is
+    at most (E_nu+1) << 5 above the best, both taken over the packed finite
+    candidates. Both verdicts occur, and so does an instance whose thin
+    margins all lie off the walked path, which certifies. Weights in
+    {0, 1, 2} times E_nu + 1 of some stage put walked margins on the bound
+    itself. Widths run past _FUSED_LEVELS, so segments, shallow moves and
+    deep blocks all count."""
     rng = random.Random(67)
-    thin_seen = sure_seen = 0
+    verdicts, on_bound = [], 0
     for h_max in range(1, solver._FUSED_LEVELS + 3):
-        for dist in ("uniform", "zipf", "ties"):
+        for dist in ("uniform", "zipf", "ties", "scaled", "scaled"):
             n = rng.randint(min(h_max, (1 << h_max) - 1), min(h_max + 3, (1 << h_max) - 1))
-            if dist == "ties":
-                beta = tuple(Fraction(rng.randint(0, 2)) for _ in range(n))
-                alpha = tuple(Fraction(rng.randint(0, 2)) for _ in range(n + 1))
-                inst = ProblemInstance(beta=(Fraction(1),) + beta[1:], alpha=alpha)
+            if dist in ("ties", "scaled"):
+                m = 1 if dist == "ties" else (h_max + 1) * (2 * (n - rng.randint(1, n)) + 3) + 1
+                beta = tuple(Fraction(m * rng.randint(0, 2)) for _ in range(n))
+                alpha = tuple(Fraction(m * rng.randint(0, 2)) for _ in range(n + 1))
+                inst = ProblemInstance(beta=(Fraction(m),) + beta[1:], alpha=alpha)
             else:
                 inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
             _, alpha, beta = inst.integer_weights()
             total = sum(alpha) + sum(beta)
             dead = (h_max + 1) * total + (h_max + 1) * (2 * n + 1) + 2
-            value, policies = solver._backward(alpha, beta, h_max, np.int64, dead, True)
+            value, policies = solver._backward(alpha, beta, h_max, np.int64, dead)
+            levels, visited = solver._walk(policies)
+            got = solver._thin_margins(alpha, beta, h_max, dead, visited)
             v_next = [None] * (1 << h_max)
             for k in range(1, h_max + 1):
                 v_next[(1 << k) - 1] = k * alpha[n]
+            thin_anywhere = False
             for nu in range(n, 0, -1):
                 margin = ((h_max + 1) * (2 * (n - nu) + 3) + 1) << solver._LEVEL_BITS
                 stage = _scalar_stage(v_next, alpha[nu - 1], beta[nu - 1], h_max)
-                pol = policies[nu - 1].tolist()
-                for s, (best, second) in enumerate(stage):
-                    if best is None:
-                        continue
-                    thin = second is not None and second - best <= margin
-                    assert pol[s] == (best & solver._LEVEL_MASK) | (solver._THIN * thin), (
-                        h_max, dist, nu, bin(s),
-                    )
-                    thin_seen += thin
-                    sure_seen += not thin
+                thin = [
+                    best is not None and second is not None and second - best <= margin
+                    for best, second in stage
+                ]
+                best, second = stage[visited[nu - 1]]
+                assert levels[nu - 1] == best & solver._LEVEL_MASK, (h_max, dist, nu)
+                on_bound += second is not None and abs(second - best - margin) < 32
+                assert got[nu - 1] == thin[visited[nu - 1]], (h_max, dist, nu)
+                thin_anywhere |= any(thin)
                 v_next = [None if c is None else c >> solver._LEVEL_BITS for c, _ in stage]
             assert value == v_next[0]
-    assert thin_seen and sure_seen
+            verdicts.append((bool(got.any()), thin_anywhere))
+    assert (True, True) in verdicts and (False, False) in verdicts
+    assert (False, True) in verdicts  # thin only off the walked path
+    assert on_bound
 
 
 @pytest.mark.parametrize("h_max", range(1, 13))
@@ -442,9 +449,11 @@ def test_fused_moves_closed_form(h_max):
             want.append((s, transition(s, a), pair))
             assert (kt.gap_coef[pair], kt.key_coef[pair], kt.level[pair]) == (gap, a + 1, a)
     first = (1 << h_max) - low
-    got = list(zip(kt.seg.tolist(), kt.succ[first:].tolist(), kt.pair[first:].tolist()))
-    assert got == want
     assert kt.starts.tolist() == starts
+    # segment s holds the moves of state s, from kt.starts[s] to the next start
+    state = np.repeat(np.arange(low), np.diff(kt.starts, append=len(kt.succ) - first))
+    got = list(zip(state.tolist(), kt.succ[first:].tolist(), kt.pair[first:].tolist()))
+    assert got == want
 
 
 def test_cached_tables_stay_within_ten_bytes_per_state():
@@ -568,6 +577,30 @@ def test_solution_reader_needs_both_children():
         obj = {"wpl": "2", "decisions": [0], "h_max": 1, "tree": tree}
         with pytest.raises(InstanceError, match="needs 'left' and 'right'"):
             solution_from_obj(obj)
+
+
+def test_solution_reader_refuses_booleans():
+    """JSON true and false are not integers: as a key, gap, level,
+    decision or h_max they are refused, not read as 1 and 0."""
+    inst = ProblemInstance(beta=(Fraction(1),), alpha=(Fraction(1),) * 2)
+    obj = solve(inst, 0).to_obj()
+    assert obj["tree"] == {
+        "key": 1, "level": 0, "left": {"gap": 0, "level": 1}, "right": {"gap": 1, "level": 1}
+    }
+    edits = [
+        (lambda o: o, "h_max", True, "h_max must be an integer"),
+        (lambda o: o["decisions"], 0, False, "decision must be an integer"),
+        (lambda o: o["tree"], "key", True, "key must be an integer"),
+        (lambda o: o["tree"], "level", False, "depth 0 has level False"),
+        (lambda o: o["tree"]["right"], "gap", True, "gap must be an integer"),
+        (lambda o: o["tree"]["left"], "level", True, "depth 1 has level True"),
+    ]
+    for node, field, value, message in edits:
+        bad = json.loads(json.dumps(obj))
+        node(bad)[field] = value
+        with pytest.raises(InstanceError, match=message):
+            solution_from_obj(bad)
+    assert solution_from_obj(obj).to_obj() == obj
 
 
 def test_solution_json_round_trip(golden_instance):

@@ -142,15 +142,19 @@ class ProblemInstance:
         )
 
     def common_denominator(self) -> int:
-        return lcm(*(w.denominator for w in self.beta + self.alpha))
+        return lcm(*{w.denominator for w in self.beta + self.alpha})
 
     def integer_weights(self) -> tuple:
         """(d, alpha * d, beta * d): the common denominator d and the weights
-        scaled by it, as lists of ints. Every exact cost is an int over d."""
+        scaled by it, as lists of ints. Every exact cost is an int over d.
+        Each distinct denominator q is divided into d once."""
         d = self.common_denominator()
-        alpha = [w.numerator * (d // w.denominator) for w in self.alpha]
-        beta = [w.numerator * (d // w.denominator) for w in self.beta]
-        return d, alpha, beta
+        scale = {}  # q -> d // q, never 0 since q divides d
+        scaled = [
+            p * (scale.get(q) or scale.setdefault(q, d // q))
+            for p, q in map(Fraction.as_integer_ratio, self.alpha + self.beta)
+        ]
+        return d, scaled[: len(self.alpha)], scaled[len(self.alpha) :]
 
     def to_obj(self) -> dict:
         obj = {
@@ -291,9 +295,12 @@ def tree_to_obj(root: Node) -> dict:
 def tree_from_obj(obj) -> Node:
     """Read a tree from its JSON object form. The root must be at level 0
     and every child one level below its parent; weighted_path_length reads
-    the levels, so any other level raises InstanceError."""
-
-    def node(obj, level):
+    the levels, so any other level raises InstanceError. Nodes are read in
+    preorder from an explicit stack, so depth is limited by memory only."""
+    root = None
+    stack = [(obj, 0, None, None)]  # (object, level, parent, side)
+    while stack:
+        obj, level, parent, side = stack.pop()
         if not isinstance(obj, dict):
             raise InstanceError("tree node must be a JSON object")
         if type(obj.get("level")) is not int or obj["level"] != level:
@@ -301,17 +308,18 @@ def tree_from_obj(obj) -> Node:
         if "key" in obj:
             if "left" not in obj or "right" not in obj:
                 raise InstanceError("internal tree node needs 'left' and 'right'")
-            return Internal(
-                key=json_int(obj["key"], "key"),
-                level=level,
-                left=node(obj["left"], level + 1),
-                right=node(obj["right"], level + 1),
-            )
-        if "gap" in obj:
-            return External(gap=json_int(obj["gap"], "gap"), level=level)
-        raise InstanceError("tree node needs 'key' or 'gap'")
-
-    return node(obj, 0)
+            nd = Internal(key=json_int(obj["key"], "key"), level=level, left=None, right=None)
+            stack.append((obj["right"], level + 1, nd, "right"))
+            stack.append((obj["left"], level + 1, nd, "left"))
+        elif "gap" in obj:
+            nd = External(gap=json_int(obj["gap"], "gap"), level=level)
+        else:
+            raise InstanceError("tree node needs 'key' or 'gap'")
+        if parent is None:
+            root = nd
+        else:
+            setattr(parent, side, nd)
+    return root
 
 
 def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:

@@ -14,9 +14,12 @@ states only; when a margin is thinner, the pass reruns in exact Python
 ints, the "object" path. A stage relaxes every level below
 A = min(_FUSED_LEVELS, h) of each state below 2^(A-1), and the shallow
 level of every other state, in one gather and one segmented minimum, and
-each deeper level as one contiguous block. The dict-based
-backward_pass/forward_pass over the reachable sets of states.StageSets is
-the reference the tests compare it with; solve() never calls it. Both
+each deeper level as one contiguous block: 6 + 2(h-A) NumPy calls, since
+the pair costs of each block of _PAIR_BLOCK stages come from one matrix
+product made before its first stage, in _PAIR_BLOCK * (h+1)^2 values. The
+dict-based backward_pass/forward_pass over the reachable sets of
+states.StageSets is the reference the tests compare it with; solve() never
+calls it. Both
 compute on ProblemInstance.integer_weights() and break value ties toward
 the smallest level, with bit-identical decisions. solve() scales the
 weights once, rebuilds the tree with build_tree_from_decisions, which
@@ -63,6 +66,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # most 2^(A-1) states, too few to pay for a NumPy call per level. Chosen by
 # timing A = 6..9.
 _FUSED_LEVELS = 8
+# _backward builds the pair costs of this many consecutive stages at once,
+# which bounds its pair-cost rows at _PAIR_BLOCK * (h+1)^2 values.
+_PAIR_BLOCK = 64
 
 
 class InfeasibleHeightError(ValueError):
@@ -104,9 +110,14 @@ class Solution:
 
 
 def solution_from_obj(obj: dict) -> "Solution":
-    """Rebuild a Solution from its JSON object form."""
-    from .instance import json_int, parse_weight, tree_from_obj
+    """Rebuild a Solution from its JSON object form. A missing field, or
+    one of the wrong type, raises InstanceError."""
+    from .instance import InstanceError, json_int, parse_weight, tree_from_obj
 
+    if not isinstance(obj, dict) or not {"wpl", "decisions", "h_max", "tree"} <= obj.keys():
+        raise InstanceError("solution needs 'wpl', 'decisions', 'h_max' and 'tree'")
+    if not isinstance(obj["decisions"], list):
+        raise InstanceError("'decisions' must be a JSON array")
     levels = tuple(json_int(a, "decision") for a in obj["decisions"])
     return Solution(
         cost=parse_weight(obj["wpl"]),
@@ -266,17 +277,21 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     2^h_max, stand for infinity; a dead V_1(0) raises InfeasibleHeightError.
 
     A stage relaxes every move of _kernel_tables in one gather of the next
-    values and one of the pair costs: the shallow moves give each state
-    s >= 2^(A-1) its first candidate, and one segmented minimum gives each
-    state below 2^(A-1) its best level below A. Each deep level a >= A is
-    one contiguous block of 2^a states. That is 10 + 2(h_max-A) NumPy calls
-    per stage, whatever the pass keeps.
+    values and one of its row of pair costs: the shallow moves give each
+    state s >= 2^(A-1) its first candidate, and one segmented minimum gives
+    each state below 2^(A-1) its best level below A. Each deep level a >= A
+    is one contiguous block of 2^a states. That is 6 + 2(h_max-A) NumPy
+    calls per stage, whatever the pass keeps. Pair costs depend on the
+    weights only: at the first stage of each block of _PAIR_BLOCK stages,
+    one matrix product of the block's (alpha << 5, beta << 5, 1) rows with
+    the pair coefficients (gap_coef, key_coef, level) gives the block's
+    rows, _PAIR_BLOCK * (h_max+1)^2 values at most.
     """
     n = len(beta)
     size = 1 << h_max
     kt = _kernel_tables(h_max)
     pair = kt.pair.astype(np.intp)
-    gap_coef, key_coef, level = (c.astype(dtype, copy=False) for c in kt[:3])
+    coef = np.array((kt.gap_coef << _LEVEL_BITS, kt.key_coef << _LEVEL_BITS, kt.level), dtype)
     fused = min(_FUSED_LEVELS, h_max)
     low = 1 << (fused - 1)
 
@@ -295,16 +310,22 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
         (a, v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a])
         for a in range(fused, h_max)
     ]
+    # stages 1 + b*_PAIR_BLOCK .. (b+1)*_PAIR_BLOCK share a block; stage nu
+    # reads row (nu-1) % _PAIR_BLOCK. A matrix product, unlike a broadcast
+    # sum, allocates no iteration buffers.
+    pair_costs = np.empty((min(n, _PAIR_BLOCK), len(kt.level)), dtype)
     kept = np.empty((n, size), np.int8) if succ is None else np.empty(succ.shape, dtype)
     for nu in range(n, 0, -1):
-        a_w = alpha[nu - 1] << _LEVEL_BITS
-        b_w = beta[nu - 1] << _LEVEL_BITS
-        pair_cost = gap_coef * a_w + key_coef * b_w + level
+        row = (nu - 1) % _PAIR_BLOCK
+        if nu == n or row == _PAIR_BLOCK - 1:
+            first = nu - 1 - row
+            weights = np.array((alpha[first:nu], beta[first:nu], [1] * (row + 1)), dtype)
+            np.matmul(weights.T, coef, out=pair_costs[: row + 1])
         v.take(kt.succ, out=gathered, mode="clip")
-        pair_cost.take(pair, out=move_cost, mode="clip")
+        pair_costs[row].take(pair, out=move_cost, mode="clip")
         gathered += move_cost
         np.minimum.reduceat(seg_moves, kt.starts, out=low_best)
-        w = a_w + b_w  # a deep level a costs (a+1)*(alpha+beta)
+        w = (alpha[nu - 1] + beta[nu - 1]) << _LEVEL_BITS  # deep level a costs (a+1)*w
         for a, succ_v, b, c in deep:
             np.add(succ_v, (a + 1) * w + a, out=c)
             np.minimum(b, c, out=b)
@@ -325,8 +346,8 @@ def _walk(policies):
     they are taken in."""
     levels, visited = [], []
     s = 0
-    for pol in policies:
-        a = int(pol[s])
+    for nu in range(len(policies)):
+        a = policies.item(nu, s)
         levels.append(a)
         visited.append(s)
         s = (s & ((1 << a) - 1)) | (1 << a)

@@ -106,8 +106,13 @@ def test_validate_negative_weight():
             alpha=(Fraction(0), Fraction(1, 6), Fraction(9, 10), Fraction(4, 15), Fraction(7, 12)),
         ),
         ProblemInstance(beta=(Fraction(0),), alpha=(Fraction(0), Fraction(0))),
+        # each denominator shared by keys and gaps, and by several of each
+        ProblemInstance(
+            beta=(Fraction(1, 6), Fraction(5, 6), Fraction(3, 4), Fraction(1, 6)),
+            alpha=(Fraction(7, 6), Fraction(1, 4), Fraction(1, 4), Fraction(2), Fraction(5, 6)),
+        ),
     ],
-    ids=["uniform", "zipf", "zero-alpha", "mixed", "all-zero"],
+    ids=["uniform", "zipf", "zero-alpha", "mixed", "all-zero", "repeated"],
 )
 def test_integer_weights_scale_exactly(inst):
     d, alpha, beta = inst.integer_weights()
@@ -318,6 +323,25 @@ def test_tree_json_round_trip():
     obj = tree_to_obj(root)
     again = tree_from_obj(json.loads(json.dumps(obj)))
     assert tree_to_obj(again) == obj
+
+
+def test_tree_reader_takes_deep_trees():
+    """A right spine of 3000 keys, far deeper than Python's recursion limit,
+    is read whole; a wrong level at its deepest node is refused with
+    InstanceError."""
+    n = 3000
+    obj = {"gap": n, "level": n}
+    for key in range(n, 0, -1):
+        left = {"gap": key - 1, "level": key}
+        obj = {"key": key, "level": key - 1, "left": left, "right": obj}
+    tree = tree_from_obj(obj)
+    assert key_levels(tree) == tuple(range(n)) and tree_height(tree) == n
+    node = obj
+    while "key" in node:
+        node = node["right"]
+    node["level"] = 0
+    with pytest.raises(InstanceError, match=f"depth {n} has level 0"):
+        tree_from_obj(obj)
 
 
 def test_dot_export_stable_and_complete():

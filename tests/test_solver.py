@@ -223,6 +223,25 @@ def test_floored_path_matches_object_path(monkeypatch, n):
         assert zero == 0 and low <= cost <= low + error
 
 
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_pair_cost_blocks_match_reference(monkeypatch, blocks, extra):
+    """n stages on both sides of one and of two blocks of _PAIR_BLOCK, so
+    that the last block is partial and stages fall on each side of a block
+    boundary: on each path the kernel's decisions equal the reference
+    pass's, and its cost equals it up to its rounding bound (0 when exact).
+    Uniform weights take "int64", zipf weights "int64-floored", and zipf
+    weights with every margin thin "object"."""
+    n = blocks * solver._PAIR_BLOCK + extra
+    h_max = h_min(n)
+    for dist, path in (("uniform", "int64"), ("zipf", "int64-floored")):
+        inst = generate_random_instance(n, n, dist=dist)
+        cost, ds = forward_pass(backward_pass(inst, h_max))
+        low, error, got_ds, got_path = _kernel_pass(inst.integer_weights(), h_max)
+        assert (got_path, got_ds) == (path, ds) and low <= cost <= low + error
+    _mark_every_margin_thin(monkeypatch)  # the zipf instance reruns exactly
+    assert _kernel_pass(inst.integer_weights(), h_max) == (cost, 0, ds, "object")
+
+
 def _mirrored(n, d):
     """Weights over the denominator d that peak at the middle key and read
     the same from either end."""
@@ -577,6 +596,21 @@ def test_solution_reader_needs_both_children():
         obj = {"wpl": "2", "decisions": [0], "h_max": 1, "tree": tree}
         with pytest.raises(InstanceError, match="needs 'left' and 'right'"):
             solution_from_obj(obj)
+
+
+def test_solution_reader_needs_every_field():
+    """A solution object that is not a JSON object, lacks a field, or has
+    decisions that are not an array is refused with InstanceError, not a
+    TypeError or KeyError."""
+    inst = ProblemInstance(beta=(Fraction(1),), alpha=(Fraction(1),) * 2)
+    obj = solve(inst, 0).to_obj()
+    bad = [[obj], dict(obj, decisions=5), dict(obj, decisions="0")]
+    for field in ("wpl", "decisions", "h_max", "tree"):
+        bad.append({k: v for k, v in obj.items() if k != field})
+    for case in bad:
+        with pytest.raises(InstanceError):
+            solution_from_obj(case)
+    assert solution_from_obj(obj).to_obj() == obj
 
 
 def test_solution_reader_refuses_booleans():

@@ -41,7 +41,10 @@ def h_min(n: int) -> int:
 
 def height_bound(n: int, delta: int) -> int:
     """The height bound h_min(n) + delta, clamped to n, the height of the
-    tallest tree on n keys. A negative delta raises ValueError."""
+    tallest tree on n keys. A delta that is not an int (a bool included) or
+    is negative raises ValueError."""
+    if type(delta) is not int:
+        raise ValueError(f"delta must be an integer, got {delta!r}")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     return min(h_min(n) + delta, n)
@@ -116,6 +119,8 @@ class ProblemInstance:
                 problems.append(
                     f"keys length must be n = {len(self.beta)}, got {len(self.keys)}"
                 )
+            elif not all(isinstance(k, str) for k in self.keys):
+                problems.append("keys must be strings")
             else:
                 for i in range(1, len(self.keys)):
                     if not self.keys[i - 1] < self.keys[i]:
@@ -179,12 +184,8 @@ class ProblemInstance:
         beta = tuple(parse_weight(w) for w in obj["beta"])
         alpha = tuple(parse_weight(w) for w in obj["alpha"])
         keys = obj.get("keys")
-        if keys is not None:
-            if not isinstance(keys, list):
-                raise InstanceError("'keys' must be a JSON array")
-            if not all(isinstance(k, str) for k in keys):
-                raise InstanceError("keys must be strings")
-            keys = tuple(keys)
+        if keys is not None and not isinstance(keys, list):
+            raise InstanceError("'keys' must be a JSON array")
         inst = cls(beta=beta, alpha=alpha, keys=keys)
         inst.require_valid()
         return inst
@@ -282,6 +283,8 @@ def weighted_path_length(root: Node, inst: ProblemInstance, *, weights=None) -> 
 
 
 def tree_to_obj(root: Node) -> dict:
+    """The JSON object form of a tree, by recursion: json.dumps and
+    json.loads recurse per level too, so depth is limited by JSON anyway."""
     if isinstance(root, Internal):
         return {
             "key": root.key,
@@ -326,16 +329,20 @@ def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:
     """Graphviz rendering; byte-stable for a fixed tree.
 
     Internal nodes are circles labeled with the key label (or index),
-    externals are boxes labeled "(j)". Node ids are k<i> / g<j>; nodes and
-    edges are emitted in in-order. Backslashes and double quotes in labels
-    are escaped.
+    externals are boxes labeled "(j)". Node ids are k<i> / g<j>; nodes, and
+    the edge into each node, are emitted in in-order, walked from an explicit
+    stack, so depth is limited by memory only. Backslashes and double quotes
+    in labels are escaped.
     """
     nodes, edges = [], []
-
-    def walk(nd, parent):
+    stack = [(root, None, False)]  # (node, its parent's id, children pushed)
+    while stack:
+        nd, parent, pushed = stack.pop()
         if isinstance(nd, Internal):
             ident = f"k{nd.key}"
-            walk(nd.left, ident)
+            if not pushed:  # the left subtree comes off first, then nd
+                stack += [(nd.right, ident, False), (nd, parent, True), (nd.left, ident, False)]
+                continue
             label = keys[nd.key - 1] if keys is not None else str(nd.key)
             label = label.replace("\\", "\\\\").replace('"', '\\"')
             nodes.append(f'  {ident} [shape=circle, label="{label}"];')
@@ -344,10 +351,6 @@ def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:
             nodes.append(f'  {ident} [shape=box, label="({nd.gap})"];')
         if parent is not None:
             edges.append(f"  {parent} -> {ident};")
-        if isinstance(nd, Internal):
-            walk(nd.right, ident)
-
-    walk(root, None)
     return "\n".join(["digraph bst {", *nodes, *edges, "}"]) + "\n"
 
 

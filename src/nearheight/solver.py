@@ -1,10 +1,11 @@
 """Backward-induction solver for height-bounded optimal binary search trees.
 
-Stage nu places key k_nu on a level; states are rightmost-path bit masks.
-solve() runs one NumPy kernel over the closed-form decision sets of every
-state, listed once per width as the moves of _kernel_tables, for height
-bounds (instance.height_bound) up to states.TABLE_MAX_WIDTH and policies up
-to states.POLICY_MAX_BYTES. The kernel is one int64 pass on the weights
+Stage nu places key k_nu on a level; states are rightmost-path bit masks,
+and states.is_feasible is the one rule for which levels a state admits.
+solve() runs one NumPy kernel over those levels of every state, listed once
+per width as the moves of _kernel_tables, for height bounds
+(instance.height_bound) up to states.TABLE_MAX_WIDTH and policies up to
+states.POLICY_MAX_BYTES. The kernel is one int64 pass on the weights
 floored to a 2^K grid, with K the smallest grid whose packed values fit
 int64. K = 0 is the exact "int64" path. On the "int64-floored" path
 (K >= 1) every decision the forward walk uses must beat each other
@@ -14,16 +15,16 @@ states only; when a margin is thinner, the pass reruns in exact Python
 ints, the "object" path. A stage relaxes every level below
 A = min(_FUSED_LEVELS, h) of each state below 2^(A-1), and the shallow
 level of every other state, in one gather and one segmented minimum, and
-each deeper level as one contiguous block: 6 + 2(h-A) NumPy calls, since
-the pair costs of each block of _PAIR_BLOCK stages come from one matrix
-product made before its first stage, in _PAIR_BLOCK * (h+1)^2 values. The
+each deeper level as one contiguous block: 6 + 2(h-A) NumPy calls. Every
+move costs (1+max(p, a))*alpha + (a+1)*beta, p the top set bit of the
+state, read from its stage's row of pair costs; one matrix product with the
+coef matrix of _kernel_tables makes the rows of _PAIR_BLOCK stages. The
 dict-based backward_pass/forward_pass over the reachable sets of
 states.StageSets is the reference the tests compare it with; solve() never
-calls it. Both
-compute on ProblemInstance.integer_weights() and break value ties toward
-the smallest level, with bit-identical decisions. solve() scales the
-weights once, rebuilds the tree with build_tree_from_decisions, which
-replays the decisions through the state machine once, and reports the
+calls it. Both compute on ProblemInstance.integer_weights() and break
+value ties toward the smallest level, with bit-identical decisions. solve()
+scales the weights once, rebuilds the tree with build_tree_from_decisions,
+which replays the decisions through the state machine once, and reports the
 tree's weighted path length, summed over the same integers, as the cost. It
 checks that the kernel's value lies at most its rounding bound (0 on the
 exact paths) below it.
@@ -153,7 +154,9 @@ def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
             best = None
             best_a = None
             pd = st.precdec(s)
-            for a in st.feasible_decisions(s, h_max):
+            for a in range(h_max):
+                if not st.is_feasible(s, a):
+                    continue
                 relaxations += 1
                 cont = v_next[st.transition(s, a)]
                 if cont is None:
@@ -212,21 +215,18 @@ def _grid_bits(total: int, h_max: int, slack: int) -> int:
 class _KernelTables(NamedTuple):
     """Per-width move table of _backward, 10 bytes per state.
 
-    Pair (g, k) of the (h_max+1)^2 pair-cost vector costs g*alpha + k*beta
-    plus level max(k-1, 0) in the level bits; its index is g*(h_max+1) + k.
-    Let p be the top set bit of s (-1 for s = 0) and q the lowest bit of the
-    run of set bits ending at p: D(s) = {q-1 if q >= 1} | {p+1, ..., h_max-1}.
-    With A = min(_FUSED_LEVELS, h_max), the moves are the shallow level q-1
-    of each state s >= 2^(A-1), in order, then one segment per state
-    s < 2^(A-1) listing its levels below A in ascending order (never empty).
-    Every move (s, a) goes to transition(s, a) at pair (1+max(p, a), a+1); a
-    state without a shallow level moves to the dead slot 2^h_max at pair 0
-    (cost 0, level 0).
+    Column g*(h_max+1) + k of coef is (g << 5, k << 5, max(k-1, 0)): times
+    (alpha, beta, 1), the packed cost g*alpha + k*beta of pair (g, k), with
+    level max(k-1, 0). With A = min(_FUSED_LEVELS, h_max), the moves are the shallow level
+    q-1 of each state s >= 2^(A-1), in order, then one segment per state
+    s < 2^(A-1) listing its levels below A by states.is_feasible, ascending
+    (never empty); p is the top set bit of s (-1 for s = 0) and q the lowest
+    bit of the run of set bits ending at p. Every move (s, a) goes to
+    transition(s, a) at pair (1+max(p, a), a+1); a state without a shallow
+    level moves to the dead slot 2^h_max at pair 0 (cost 0, level 0).
     """
 
-    gap_coef: np.ndarray  # g of every pair (int64)
-    key_coef: np.ndarray  # k of every pair (int64)
-    level: np.ndarray  # max(k-1, 0) of every pair (int64)
+    coef: np.ndarray  # 3 x (h_max+1)^2 pair coefficients (int64)
     succ: np.ndarray  # successor of every move (intp)
     pair: np.ndarray  # pair index of every move (int16)
     starts: np.ndarray  # first move of each segment, from the first segment (intp)
@@ -242,11 +242,10 @@ def _kernel_tables(h_max: int) -> _KernelTables:
         return cached
     size = 1 << h_max
     width = h_max + 1
-    gap_coef, key_coef = np.divmod(np.arange(width * width), width)
+    gap, key = np.divmod(np.arange(width * width), width)
     fused = min(_FUSED_LEVELS, h_max)
     low = 1 << (fused - 1)
-    segments = [(s, a) for s in range(low) for a in st.feasible_decisions(s, fused)]
-    seg, seg_level = np.array(segments, dtype=np.intp).T
+    seg, seg_level = np.nonzero(st.is_feasible(np.arange(low)[:, None], np.arange(fused)))
     s = np.concatenate((np.arange(low, size), seg))
     p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
     # complementing bits 0..p turns the run ending at p into zeros, so the top
@@ -255,9 +254,7 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     a[size - low :] = seg_level
     bit = 1 << np.maximum(a, 0)
     tables = _KernelTables(
-        gap_coef,
-        key_coef,
-        np.maximum(key_coef - 1, 0),
+        np.array((gap << _LEVEL_BITS, key << _LEVEL_BITS, np.maximum(key - 1, 0))),
         np.where(a >= 0, (s & (bit - 1)) | bit, size),
         np.where(a >= 0, (1 + np.maximum(p, a)) * width + a + 1, 0).astype(np.int16),
         np.flatnonzero(np.diff(seg, prepend=-1)),
@@ -276,22 +273,21 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     reachable states unchanged. Values at or above `dead`, and the dead slot
     2^h_max, stand for infinity; a dead V_1(0) raises InfeasibleHeightError.
 
-    A stage relaxes every move of _kernel_tables in one gather of the next
-    values and one of its row of pair costs: the shallow moves give each
-    state s >= 2^(A-1) its first candidate, and one segmented minimum gives
-    each state below 2^(A-1) its best level below A. Each deep level a >= A
-    is one contiguous block of 2^a states. That is 6 + 2(h_max-A) NumPy
-    calls per stage, whatever the pass keeps. Pair costs depend on the
-    weights only: at the first stage of each block of _PAIR_BLOCK stages,
-    one matrix product of the block's (alpha << 5, beta << 5, 1) rows with
-    the pair coefficients (gap_coef, key_coef, level) gives the block's
-    rows, _PAIR_BLOCK * (h_max+1)^2 values at most.
+    Each move is priced from its stage's row of pair costs: at the first
+    stage of each block of _PAIR_BLOCK stages, one matrix product of the
+    block's (alpha, beta, 1) rows with coef of _kernel_tables, cast to dtype,
+    gives the block's rows. A stage relaxes the moves of _kernel_tables in
+    one gather of the next values and one of its row: the shallow moves give
+    each state s >= 2^(A-1) its first candidate, and one segmented minimum
+    gives each state below 2^(A-1) its best level below A. Each deep level
+    a >= A is one contiguous block of 2^a states at pair (a+1, a+1), column
+    (a+1)(h_max+2). That is 6 + 2(h_max-A) NumPy calls per stage.
     """
     n = len(beta)
     size = 1 << h_max
     kt = _kernel_tables(h_max)
     pair = kt.pair.astype(np.intp)
-    coef = np.array((kt.gap_coef << _LEVEL_BITS, kt.key_coef << _LEVEL_BITS, kt.level), dtype)
+    coef = kt.coef.astype(dtype)
     fused = min(_FUSED_LEVELS, h_max)
     low = 1 << (fused - 1)
 
@@ -305,15 +301,15 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     move_cost = np.empty(len(pair), dtype=dtype)
     gathered, best, seg_moves = moves[low:], moves[:size], moves[size:]
     low_best = best[:low]
-    # deep level a >= A takes state s < 2^a to s + 2^a: three views per level
+    # deep level a >= A takes state s < 2^a to s + 2^a at pair (a+1, a+1)
     deep = [
-        (a, v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a])
+        (v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a], (a + 1) * (h_max + 2))
         for a in range(fused, h_max)
     ]
     # stages 1 + b*_PAIR_BLOCK .. (b+1)*_PAIR_BLOCK share a block; stage nu
     # reads row (nu-1) % _PAIR_BLOCK. A matrix product, unlike a broadcast
     # sum, allocates no iteration buffers.
-    pair_costs = np.empty((min(n, _PAIR_BLOCK), len(kt.level)), dtype)
+    pair_costs = np.empty((min(n, _PAIR_BLOCK), coef.shape[1]), dtype)
     kept = np.empty((n, size), np.int8) if succ is None else np.empty(succ.shape, dtype)
     for nu in range(n, 0, -1):
         row = (nu - 1) % _PAIR_BLOCK
@@ -321,13 +317,13 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
             first = nu - 1 - row
             weights = np.array((alpha[first:nu], beta[first:nu], [1] * (row + 1)), dtype)
             np.matmul(weights.T, coef, out=pair_costs[: row + 1])
+        costs = pair_costs[row]
         v.take(kt.succ, out=gathered, mode="clip")
-        pair_costs[row].take(pair, out=move_cost, mode="clip")
+        costs.take(pair, out=move_cost, mode="clip")
         gathered += move_cost
         np.minimum.reduceat(seg_moves, kt.starts, out=low_best)
-        w = (alpha[nu - 1] + beta[nu - 1]) << _LEVEL_BITS  # deep level a costs (a+1)*w
-        for a, succ_v, b, c in deep:
-            np.add(succ_v, (a + 1) * w + a, out=c)
+        for succ_v, b, c, deep_pair in deep:
+            np.add(succ_v, costs[deep_pair], out=c)
             np.minimum(b, c, out=b)
         if succ is None:
             np.bitwise_and(best, _LEVEL_MASK, out=kept[nu - 1], casting="unsafe")
@@ -369,10 +365,9 @@ def _thin_margins(alpha, beta, h_max: int, dead: int, visited):
     n = len(beta)
     s = np.array(visited)[:, None]
     a = np.arange(h_max)
-    p = np.frexp(s)[1] - 1  # the top set bit and the shallow level, as in _kernel_tables
-    shallow = np.frexp(s ^ ((1 << (p + 1)) - 1))[1] - 1
+    p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
     bit = 1 << a
-    succ = np.where((a > p) | (a == shallow), (s & (bit - 1)) | bit, 1 << h_max)
+    succ = np.where(st.is_feasible(s, a), (s & (bit - 1)) | bit, 1 << h_max)
     _, cand = _backward(alpha, beta, h_max, np.int64, dead, succ)
     alpha_nu, beta_nu = np.array(alpha[:n])[:, None], np.array(beta)[:, None]
     cand += (((1 + np.maximum(p, a)) * alpha_nu + (a + 1) * beta_nu) << _LEVEL_BITS) + a

@@ -1,10 +1,11 @@
 """Rightmost-path occupancy states encoded as fixed-width bit masks.
 
 Bit i of a state records whether level i of the rightmost path currently
-holds a key (level 0 = least significant bit). The scalar functions take a
-state of any width; the tables over all 2^h_max states (capacity_profile,
-and the StageSets and stage_counts built on it) refuse widths outside
-1..TABLE_MAX_WIDTH before allocating anything, and
+holds a key (level 0 = least significant bit). is_feasible is the one
+statement of the decision sets D(s), for ints and NumPy arrays alike. The
+scalar functions take a state of any width; the tables over all 2^h_max
+states (capacity_profile, and the StageSets and stage_counts built on it)
+refuse widths outside 1..TABLE_MAX_WIDTH before allocating anything, and
 check_policy_size refuses the solver's n x 2^h_max policy above
 POLICY_MAX_BYTES.
 """
@@ -50,13 +51,13 @@ def check_policy_size(n: int, h_max: int):
         )
 
 
-def is_feasible(s: int, a: int) -> bool:
+def is_feasible(s, a):
     """A key may go on level a iff the level is free and every occupied
-    level above a forms a contiguous run starting at a+1."""
-    if (s >> a) & 1:
-        return False
-    high = s >> (a + 1)
-    return (high & (high + 1)) == 0
+    level above a forms a contiguous run starting at a+1: with t = s >> a,
+    bit 0 of t is clear and t >> 1 is 2^k - 1, which is t & (t + 2) == 0.
+    Takes ints, or NumPy integer arrays that broadcast to the answers."""
+    t = s >> a
+    return (t & (t + 2)) == 0
 
 
 def feasible_decisions(s: int, h_max: int) -> List[int]:

@@ -19,11 +19,12 @@ from nearheight import (
     generate_random_instance,
     h_min,
     parse_weight,
+    solve,
     tree_height,
     tree_to_dot,
     weighted_path_length,
 )
-from nearheight.instance import inorder, key_levels, tree_from_obj, tree_to_obj
+from nearheight.instance import height_bound, inorder, key_levels, tree_from_obj, tree_to_obj
 
 
 def test_h_min_examples():
@@ -88,6 +89,27 @@ def test_validate_alpha_length():
 def test_validate_key_order():
     inst = ProblemInstance(beta=(Fraction(1), Fraction(1)), alpha=(0, 0, 0), keys=("b", "a"))
     assert any("strictly increasing" in p for p in inst.validate())
+
+
+@pytest.mark.parametrize("keys", [(1, 2), (1, "a"), ("a", None)])
+def test_validate_refuses_non_string_keys(keys):
+    """Keys must be strings however the instance is made: validate() lists
+    the problem, and solve() and the JSON reader refuse the instance."""
+    inst = ProblemInstance(beta=(Fraction(1), Fraction(2)), alpha=(0, 0, 0), keys=keys)
+    assert inst.validate() == ["keys must be strings"]
+    with pytest.raises(InstanceError, match="keys must be strings"):
+        solve(inst)
+    obj = {"beta": ["1", "2"], "alpha": ["0", "0", "0"], "keys": list(keys)}
+    with pytest.raises(InstanceError, match="keys must be strings"):
+        ProblemInstance.from_obj(obj)
+
+
+@pytest.mark.parametrize("delta", [1.0, True, False, "1", None])
+def test_height_bound_refuses_non_integer_delta(golden_instance, delta):
+    with pytest.raises(ValueError, match="delta must be an integer"):
+        height_bound(4, delta)
+    with pytest.raises(ValueError, match="delta must be an integer"):
+        solve(golden_instance, delta)
 
 
 def test_validate_negative_weight():
@@ -342,6 +364,17 @@ def test_tree_reader_takes_deep_trees():
     node["level"] = 0
     with pytest.raises(InstanceError, match=f"depth {n} has level 0"):
         tree_from_obj(obj)
+
+
+def test_dot_export_takes_deep_trees():
+    """A right spine of 3000 keys, far deeper than Python's recursion limit,
+    renders whole: every node, and one edge into each node but the root."""
+    n = 3000
+    tree = build_tree_from_decisions(DecisionSequence(levels=tuple(range(n)), h_max=n), n)
+    out = tree_to_dot(tree)
+    assert out.count("shape=circle") == n and out.count("shape=box") == n + 1
+    assert out.count(" -> ") == 2 * n
+    assert f"  k{n} -> g{n};" in out and " -> k1;" not in out
 
 
 def test_dot_export_stable_and_complete():

@@ -426,13 +426,14 @@ def test_shallow_moves_closed_form(h_max):
     """The first moves of the table are the shallow levels of the states
     s >= 2^(A-1), with A = min(_FUSED_LEVELS, h_max), in order: the feasible
     level q-1 below the top set bit p, to transition(s, q-1) at pair index
-    (1+p)(h_max+1) + q, the pair of cost (1+p)*alpha + q*beta and level
-    q-1. A state without one moves to the dead slot 2^h_max at pair 0, of
-    cost 0 and level 0."""
+    (1+p)(h_max+1) + q, whose column of kt.coef is ((1+p) << 5, q << 5,
+    q-1): cost (1+p)*alpha + q*beta and level q-1. A state without one moves
+    to the dead slot 2^h_max at pair 0, whose column is zero: cost 0 and
+    level 0."""
     kt = solver._kernel_tables(h_max)
     size = 1 << h_max
     low = 1 << (min(solver._FUSED_LEVELS, h_max) - 1)
-    assert kt.gap_coef[0] == kt.key_coef[0] == kt.level[0] == 0
+    assert kt.coef[:, 0].tolist() == [0, 0, 0]
     for s in range(low, size):
         p = s.bit_length() - 1
         shallow = [a for a in feasible_decisions(s, h_max) if a < p]
@@ -441,7 +442,7 @@ def test_shallow_moves_closed_form(h_max):
             (a,) = shallow
             pair = (1 + p) * (h_max + 1) + a + 1
             assert (kt.succ[move], kt.pair[move]) == (transition(s, a), pair), bin(s)
-            assert (kt.gap_coef[pair], kt.key_coef[pair], kt.level[pair]) == (1 + p, a + 1, a)
+            assert kt.coef[:, pair].tolist() == [(1 + p) << 5, (a + 1) << 5, a]
         else:
             assert (kt.succ[move], kt.pair[move]) == (size, 0), bin(s)
 
@@ -452,8 +453,11 @@ def test_fused_moves_closed_form(h_max):
     every state s < 2^(A-1) with A = min(_FUSED_LEVELS, h_max), exactly
     feasible_decisions(s, A), in ascending order, the shallow level
     included, with successor transition(s, a) and pair index
-    (1+max(p, a))(h_max+1) + a+1 (p the top set bit, -1 for s = 0), the
-    pair of cost (1+max(p, a))*alpha + (a+1)*beta and level a."""
+    (1+max(p, a))(h_max+1) + a+1 (p the top set bit, -1 for s = 0), whose
+    column of kt.coef is ((1+max(p, a)) << 5, (a+1) << 5, a): cost
+    (1+max(p, a))*alpha + (a+1)*beta and level a. The table takes its
+    segments from states.is_feasible, so comparing them with
+    feasible_decisions checks them against the scalar rule."""
     kt = solver._kernel_tables(h_max)
     fused = min(solver._FUSED_LEVELS, h_max)
     low = 1 << (fused - 1)
@@ -466,7 +470,7 @@ def test_fused_moves_closed_form(h_max):
             gap = 1 + max(s.bit_length() - 1, a)
             pair = gap * (h_max + 1) + a + 1
             want.append((s, transition(s, a), pair))
-            assert (kt.gap_coef[pair], kt.key_coef[pair], kt.level[pair]) == (gap, a + 1, a)
+            assert kt.coef[:, pair].tolist() == [gap << 5, (a + 1) << 5, a]
     first = (1 << h_max) - low
     assert kt.starts.tolist() == starts
     # segment s holds the moves of state s, from kt.starts[s] to the next start

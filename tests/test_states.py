@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +147,24 @@ def test_feasible_matches_literal_conditions(sw):
         )
     ]
     assert feasible_decisions(s, h_max) == literal
+
+
+@pytest.mark.parametrize("h_max", range(1, 13))
+def test_feasible_on_arrays_matches_literal_conditions(h_max):
+    """is_feasible on NumPy arrays, a column of every state of the width
+    against a row of every level, broadcasts to the feasibility of every
+    (s, a): level a is free, and no free level above a lies below an
+    occupied one."""
+    s = np.arange(1 << h_max)[:, None]
+    a = np.arange(h_max)
+    got = is_feasible(s, a)
+    assert got.shape == (1 << h_max, h_max) and got.dtype == bool
+    literal = (s >> a) & 1 == 0
+    for i in range(h_max):
+        for j in range(i + 1, h_max):
+            literal &= ~((a < i) & ((s >> i) & 1 == 0) & ((s >> j) & 1 == 1))
+    assert np.array_equal(got, literal)
+    assert got.tolist() == [[is_feasible(x, b) for b in range(h_max)] for x in range(1 << h_max)]
 
 
 @given(states_and_widths)

@@ -72,6 +72,7 @@ class RunReport:
             "decision_set_bound": decision_set_bound(self.n, self.delta),
             "theorem1_ok": self.theorem1_ok,
             "theorem2_ok": self.theorem2_ok,
+            "policy_bytes": states.policy_bytes(self.n, height_bound(self.n, self.delta)),
         }
 
 

@@ -147,7 +147,13 @@ class ProblemInstance:
         )
 
     def common_denominator(self) -> int:
-        return lcm(*{w.denominator for w in self.beta + self.alpha})
+        """The lcm of the distinct denominators, taken over a tree whose
+        leaves are the lcm of up to 32 of them, so that each step joins
+        numbers of about equal length."""
+        level = list({w.denominator for w in self.beta + self.alpha})
+        while len(level) > 32:
+            level = [lcm(*level[i : i + 32]) for i in range(0, len(level), 32)]
+        return lcm(*level)
 
     def integer_weights(self) -> tuple:
         """(d, alpha * d, beta * d): the common denominator d and the weights

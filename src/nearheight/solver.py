@@ -19,10 +19,13 @@ each deeper level as one contiguous block: 6 + 2(h-A) NumPy calls. Every
 move costs (1+max(p, a))*alpha + (a+1)*beta, p the top set bit of the
 state, read from its stage's row of pair costs; one matrix product with the
 coef matrix of _kernel_tables makes the rows of _PAIR_BLOCK stages. The
-dict-based backward_pass/forward_pass over the reachable sets of
-states.StageSets is the reference the tests compare it with; solve() never
-calls it. Both compute on ProblemInstance.integer_weights() and break
-value ties toward the smallest level, with bit-identical decisions. solve()
+int8 policy covers the states below 2^(h-1) only: a state with bit h-1 set
+has no level above it, so at most its shallow level, and the walk takes
+that move from _kernel_tables. The dict-based backward_pass/forward_pass
+over the reachable sets of states.StageSets is the reference the tests
+compare it with; solve() never calls it. Both compute on
+ProblemInstance.integer_weights() and break value ties toward the smallest
+level, with bit-identical decisions. solve()
 scales the weights once, rebuilds the tree with build_tree_from_decisions,
 which replays the decisions through the state machine once, and reports the
 tree's weighted path length, summed over the same integers, as the cost. It
@@ -267,8 +270,10 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     """Packed backward pass over all 2^h_max states.
 
     Returns V_1(0) and what the pass keeps of each stage nu: its int8
-    policy over all states, or, given an n x h_max array of states succ,
-    the packed next values V_{nu+1} at succ[nu-1]. The kernel evaluates
+    policy over the states below 2^(h_max-1), or, given an n x h_max array
+    of states succ, the packed next values V_{nu+1} at succ[nu-1]. Every
+    other state has at most one feasible level, which _walk reads from
+    _kernel_tables, so the policy is n x 2^(h_max-1). The kernel evaluates
     every state of the width, reachable or not, which leaves the values of
     reachable states unchanged. Values at or above `dead`, and the dead slot
     2^h_max, stand for infinity; a dead V_1(0) raises InfeasibleHeightError.
@@ -310,7 +315,9 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     # reads row (nu-1) % _PAIR_BLOCK. A matrix product, unlike a broadcast
     # sum, allocates no iteration buffers.
     pair_costs = np.empty((min(n, _PAIR_BLOCK), coef.shape[1]), dtype)
-    kept = np.empty((n, size), np.int8) if succ is None else np.empty(succ.shape, dtype)
+    # only the states below 2^(h_max-1) can have a choice of level
+    half = size >> 1
+    kept = np.empty((n, half), np.int8) if succ is None else np.empty(succ.shape, dtype)
     for nu in range(n, 0, -1):
         row = (nu - 1) % _PAIR_BLOCK
         if nu == n or row == _PAIR_BLOCK - 1:
@@ -326,7 +333,7 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
             np.add(succ_v, costs[deep_pair], out=c)
             np.minimum(b, c, out=b)
         if succ is None:
-            np.bitwise_and(best, _LEVEL_MASK, out=kept[nu - 1], casting="unsafe")
+            np.bitwise_and(best[:half], _LEVEL_MASK, out=kept[nu - 1], casting="unsafe")
         else:
             v.take(succ[nu - 1], out=kept[nu - 1], mode="clip")
         np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
@@ -339,14 +346,28 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
 
 def _walk(policies):
     """Decisions along the policy from the all-zero state, and the states
-    they are taken in."""
+    they are taken in.
+
+    The policy of _backward covers the states below 2^(h_max-1), h_max
+    read from its width. A state s at or above has no level above its top
+    set bit h_max-1, so its one move, where its value is finite, is its
+    shallow level: move s - 2^(A-1) of _kernel_tables, whose level is the
+    top set bit of its successor."""
+    half = policies.shape[1]
+    h_max = half.bit_length()
+    low = 1 << (min(_FUSED_LEVELS, h_max) - 1)
+    upper = _kernel_tables(h_max).succ[half - low :]  # the moves of s >= half
     levels, visited = [], []
     s = 0
     for nu in range(len(policies)):
-        a = policies.item(nu, s)
-        levels.append(a)
         visited.append(s)
-        s = (s & ((1 << a) - 1)) | (1 << a)
+        if s < half:
+            a = policies.item(nu, s)
+            s = (s & ((1 << a) - 1)) | (1 << a)
+        else:
+            s = upper.item(s - half)
+            a = s.bit_length() - 1
+        levels.append(a)
     return levels, visited
 
 
@@ -458,8 +479,11 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
 
 
 def solve_with_max_height(inst: ProblemInstance, max_height: int) -> Solution:
-    """Like solve, but with an absolute height cap instead of slack."""
+    """Like solve, but with an absolute height cap instead of slack. A
+    max_height that is not an int (a bool included) raises ValueError."""
     inst.require_valid()
+    if type(max_height) is not int:
+        raise ValueError(f"max_height must be an integer, got {max_height!r}")
     hm = h_min(inst.n)
     if max_height < hm:
         raise InfeasibleHeightError(

@@ -6,8 +6,8 @@ statement of the decision sets D(s), for ints and NumPy arrays alike. The
 scalar functions take a state of any width; the tables over all 2^h_max
 states (capacity_profile, and the StageSets and stage_counts built on it)
 refuse widths outside 1..TABLE_MAX_WIDTH before allocating anything, and
-check_policy_size refuses the solver's n x 2^h_max policy above
-POLICY_MAX_BYTES.
+check_policy_size refuses the solver's n x 2^(h_max-1) policy
+(policy_bytes) above POLICY_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import numpy as np
 
 from .instance import h_min
 
-# A table holds 2^h_max slots; the solver's kernel keeps n of them as its
-# policy, and at width 24, n = 24 peaks at about 1.4 GB RSS.
+# A table holds 2^h_max slots; the solver's kernel keeps n half tables as
+# its policy, and at width 24, n = 24 peaks at about 0.9 GB RSS.
 TABLE_MAX_WIDTH = 24
-# The kernel's policy holds one byte per state and stage: n = 16000 at
-# width 17 takes 2 GB, n = 1000 at width 24 would take 16 GB.
+# The kernel's policy holds one byte per stage and state below 2^(h_max-1)
+# (policy_bytes): n = 16000 at width 17 takes 1 GB, n = 1000 at width 24
+# would take 8 GB.
 POLICY_MAX_BYTES = 1 << 32
 
 
@@ -39,11 +40,17 @@ def _check_table_width(h_max: int):
         )
 
 
+def policy_bytes(n: int, h_max: int) -> int:
+    """Bytes of the solver's policy: one per stage and state below
+    2^(h_max-1). Every state at or above has at most one feasible level."""
+    return n << (h_max - 1)
+
+
 def check_policy_size(n: int, h_max: int):
     """Refuse a width outside 1..TABLE_MAX_WIDTH (WidthError), then a policy
-    of n x 2^h_max bytes above POLICY_MAX_BYTES (ValueError)."""
+    of policy_bytes(n, h_max) above POLICY_MAX_BYTES (ValueError)."""
     _check_table_width(h_max)
-    need = n << h_max
+    need = policy_bytes(n, h_max)
     if need > POLICY_MAX_BYTES:
         raise ValueError(
             f"policy table for n = {n} at height bound {h_max} needs {need} "

@@ -116,7 +116,7 @@ def test_solve_policy_above_memory_limit(tmp_path, capsys):
     path.write_text(generate_random_instance(1000, 1).dumps())
     code, _, err = run(["solve", "-i", str(path), "--delta", "14"], capsys)
     assert code == 1
-    assert f"needs {1000 << 24} bytes" in err
+    assert f"needs {1000 << 23} bytes" in err
 
 
 def test_solve_infeasible_height(golden_file, capsys):
@@ -248,6 +248,24 @@ def test_stats_command(capsys):
     obj = json.loads(out)
     assert obj["theorem1_ok"] and obj["theorem2_ok"]
     assert max(obj["state_counts"]) <= 10
+
+
+def test_stats_reports_policy_bytes(tmp_path, monkeypatch, capsys):
+    """stats names the bytes of the policy that solve would allocate, so a
+    bound that will be refused can be seen before solving: with the limit
+    one byte lower, solve refuses the same bound and names that count."""
+    code, out, _ = run(["stats", "--n", "100", "--delta", "2"], capsys)
+    assert code == 0
+    need = json.loads(out)["policy_bytes"]
+    assert need == 100 << (7 + 2 - 1)
+    path = tmp_path / "inst.json"
+    path.write_text(generate_random_instance(100, 1).dumps())
+    monkeypatch.setattr("nearheight.states.POLICY_MAX_BYTES", need)
+    assert run(["solve", "-i", str(path), "--delta", "2"], capsys)[0] == 0
+    monkeypatch.setattr("nearheight.states.POLICY_MAX_BYTES", need - 1)
+    code, _, err = run(["solve", "-i", str(path), "--delta", "2"], capsys)
+    assert code == 1
+    assert f"needs {need} bytes" in err
 
 
 @pytest.mark.parametrize("n,delta", [("4", "-1"), ("20", "-2")])

@@ -133,8 +133,13 @@ def test_validate_negative_weight():
             beta=(Fraction(1, 6), Fraction(5, 6), Fraction(3, 4), Fraction(1, 6)),
             alpha=(Fraction(7, 6), Fraction(1, 4), Fraction(1, 4), Fraction(2), Fraction(5, 6)),
         ),
+        # over 32 * 32 distinct denominators: three levels of the lcm tree
+        ProblemInstance(
+            beta=tuple(Fraction(1, q) for q in range(1, 1101)),
+            alpha=tuple(Fraction(q % 7, q + 1100) for q in range(1101)),
+        ),
     ],
-    ids=["uniform", "zipf", "zero-alpha", "mixed", "all-zero", "repeated"],
+    ids=["uniform", "zipf", "zero-alpha", "mixed", "all-zero", "repeated", "many-denominators"],
 )
 def test_integer_weights_scale_exactly(inst):
     d, alpha, beta = inst.integer_weights()

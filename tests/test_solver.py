@@ -118,6 +118,12 @@ def test_solve_with_max_height(golden_instance):
         solve_with_max_height(golden_instance, 2)
 
 
+@pytest.mark.parametrize("max_height", [True, 5.0, "5", None])
+def test_solve_with_max_height_refuses_non_integers(golden_instance, max_height):
+    with pytest.raises(ValueError, match=f"max_height must be an integer, got {max_height!r}"):
+        solve_with_max_height(golden_instance, max_height)
+
+
 def test_telescoping_identity():
     """The reference pass's V_1(0) is the weighted path length of the tree
     its decisions build."""
@@ -479,6 +485,63 @@ def test_fused_moves_closed_form(h_max):
     assert got == want
 
 
+def _walk_from(s, h_max):
+    """The walk's levels and states along a policy that takes the all-zero
+    state to s, placing its set bits in ascending order, and then one more
+    stage: its last level is the one the walk takes in s."""
+    half = 1 << (h_max - 1)
+    levels = [i for i in range(h_max) if s >> i & 1]
+    policy = np.zeros((len(levels) + 1, half), np.int8)
+    t = 0
+    for nu, a in enumerate(levels):
+        policy[nu, t] = a
+        t = transition(t, a)
+    got, visited = solver._walk(policy)
+    assert got[:-1] == levels and visited[-1] == s
+    return got[-1]
+
+
+@pytest.mark.parametrize("h_max", range(1, 13))
+def test_policy_states_are_the_branching_ones(h_max):
+    """The policy covers the states below 2^(h_max-1). Every state at or
+    above has at most one feasible level, and only 2^h_max - 1 has none; the
+    walk takes that level without a policy byte. Every state below, but
+    2^(h_max-1) - 1, has a choice of at least two levels."""
+    half = 1 << (h_max - 1)
+    for s in range(half, 2 * half):
+        levels = feasible_decisions(s, h_max)
+        if s == 2 * half - 1:
+            assert levels == []
+        else:
+            assert levels == [_walk_from(s, h_max)], bin(s)
+    for s in range(half - 1):
+        assert len(feasible_decisions(s, h_max)) >= 2, bin(s)
+
+
+def test_walk_matches_reference_through_the_upper_half():
+    """On weights in {0, 1, 2}, exact ties throughout, the kernel's policy
+    over the states below 2^(h-1) walks to the reference pass's decisions,
+    through states at or above 2^(h-1), at widths on both sides of
+    _FUSED_LEVELS."""
+    rng = random.Random(71)
+    widths = set()
+    for n, delta in ((12, 0), (30, 0), (100, 0), (120, 2), (256, 0)):
+        h_max = h_min(n) + delta
+        inst = ProblemInstance(
+            beta=tuple(Fraction(rng.randint(0, 2)) for _ in range(n)),
+            alpha=tuple(Fraction(rng.randint(0, 2)) for _ in range(n + 1)),
+        )
+        _, alpha, beta = inst.integer_weights()
+        dead = (h_max + 1) * (sum(alpha) + sum(beta)) + 1
+        _, policies = solver._backward(alpha, beta, h_max, np.int64, dead)
+        assert policies.shape == (n, 1 << (h_max - 1))
+        levels, visited = solver._walk(policies)
+        assert max(visited) >= 1 << (h_max - 1), n
+        assert tuple(levels) == forward_pass(backward_pass(inst, h_max))[1].levels, n
+        widths.add(h_max)
+    assert min(widths) <= 8 and max(widths) > solver._FUSED_LEVELS
+
+
 def test_cached_tables_stay_within_ten_bytes_per_state():
     """The arrays cached for a width, the kernel's move table and
     constants, take at most 10 bytes per state plus a fixed allowance."""
@@ -518,17 +581,30 @@ def test_reference_pass_refuses_wide_tables():
 
 
 def test_policy_table_refused_before_allocating(monkeypatch):
-    # n = 16000 at width 17: 2 GB of policy, within the limit
+    # n = 16000 at width 17: 1 GB of policy, within the limit
     solver.st.check_policy_size(16000, 17)
 
     def refuse(h_max):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(solver, "_kernel_tables", refuse)
-    # n = 1000 at width 24: 16 GB of policy
+    # n = 1000 at width 24: 8 GB of policy
     inst = generate_random_instance(1000, 1)
-    with pytest.raises(ValueError, match=f"needs {1000 << 24} bytes"):
+    with pytest.raises(ValueError, match=f"needs {1000 << 23} bytes"):
         solve(inst, 14)
+
+
+def test_policy_limit_at_width_22(monkeypatch):
+    """One byte per stage and state below 2^21: n = 2048 fills
+    POLICY_MAX_BYTES exactly and n = 2049 is refused before any table."""
+    solver.st.check_policy_size(2048, 22)
+
+    def refuse(h_max):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(solver, "_kernel_tables", refuse)
+    with pytest.raises(ValueError, match=f"needs {2049 << 21} bytes, above the limit of {1 << 32}"):
+        solve(generate_random_instance(2049, 1), 22 - h_min(2049))
 
 
 def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):

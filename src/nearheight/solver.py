@@ -10,9 +10,13 @@ floored to a 2^K grid, with K the smallest grid whose packed values fit
 int64. K = 0 is the exact "int64" path. On the "int64-floored" path
 (K >= 1) every decision the forward walk uses must beat each other
 candidate of its state by more than the rounding bound E_nu =
-(h+1)(2(n-nu)+3) grid units, which a second pass checks at the walked
-states only; when a margin is thinner, the pass reruns in exact Python
-ints, the "object" path. A stage relaxes every level below
+(h+1)(2(n-nu)+3) grid units, which is checked at the walked states only.
+The pass keeps its next values V_{nu+1} of as many first stages as
+_ROW_BUDGET bytes hold, and the check reads their candidates there: one
+pass when all n stages fit, at most the budget in extra memory, and
+otherwise a second pass over the stages left. When a margin is thinner,
+the pass reruns in exact Python ints, the "object" path. _stages runs the
+pass over a range of stages; a stage relaxes every level below
 A = min(_FUSED_LEVELS, h) of each state below 2^(A-1), and the shallow
 level of every other state, in one gather and one segmented minimum, and
 each deeper level as one contiguous block: 6 + 2(h-A) NumPy calls. Every
@@ -70,9 +74,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # most 2^(A-1) states, too few to pay for a NumPy call per level. Chosen by
 # timing A = 6..9.
 _FUSED_LEVELS = 8
-# _backward builds the pair costs of this many consecutive stages at once,
+# _stages builds the pair costs of this many consecutive stages at once,
 # which bounds its pair-cost rows at _PAIR_BLOCK * (h+1)^2 values.
 _PAIR_BLOCK = 64
+# On the floored path, _backward keeps the next values of as many first
+# stages as fit in this many bytes, 8 per state and stage, and _thin_margins
+# reads the candidates of those stages from them instead of recomputing
+# them: a solve whose n(2^h+1) values fit makes one pass instead of two.
+_ROW_BUDGET = 8 << 20
 
 
 class InfeasibleHeightError(ValueError):
@@ -216,7 +225,7 @@ def _grid_bits(total: int, h_max: int, slack: int) -> int:
 
 
 class _KernelTables(NamedTuple):
-    """Per-width move table of _backward, 10 bytes per state.
+    """Per-width move table of _stages, 10 bytes per state.
 
     Column g*(h_max+1) + k of coef is (g << 5, k << 5, max(k-1, 0)): times
     (alpha, beta, 1), the packed cost g*alpha + k*beta of pair (g, k), with
@@ -266,17 +275,17 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     return tables
 
 
-def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
-    """Packed backward pass over all 2^h_max states.
+def _stages(alpha, beta, h_max: int, dtype, dead: int, last: int = 1):
+    """Packed backward pass over all 2^h_max states, stage n down to `last`.
 
-    Returns V_1(0) and what the pass keeps of each stage nu: its int8
-    policy over the states below 2^(h_max-1), or, given an n x h_max array
-    of states succ, the packed next values V_{nu+1} at succ[nu-1]. Every
-    other state has at most one feasible level, which _walk reads from
-    _kernel_tables, so the policy is n x 2^(h_max-1). The kernel evaluates
-    every state of the width, reachable or not, which leaves the values of
-    reachable states unchanged. Values at or above `dead`, and the dead slot
-    2^h_max, stand for infinity; a dead V_1(0) raises InfeasibleHeightError.
+    Yields (nu, v, best) once per stage nu, after its relaxation: v holds
+    the packed next values V_{nu+1} with the level bits cleared, and best
+    the packed values and levels of stage nu. Both are buffers that the
+    next stage overwrites. Slot 2^h_max of v stays dead, the successor of
+    states without a shallow level. The kernel evaluates every state of the
+    width, reachable or not, which leaves the values of reachable states
+    unchanged. Values at or above `dead`, and the dead slot, stand for
+    infinity.
 
     Each move is priced from its stage's row of pair costs: at the first
     stage of each block of _PAIR_BLOCK stages, one matrix product of the
@@ -286,7 +295,8 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     each state s >= 2^(A-1) its first candidate, and one segmented minimum
     gives each state below 2^(A-1) its best level below A. Each deep level
     a >= A is one contiguous block of 2^a states at pair (a+1, a+1), column
-    (a+1)(h_max+2). That is 6 + 2(h_max-A) NumPy calls per stage.
+    (a+1)(h_max+2). With the mask of best into v, that is 5 + 2(h_max-A)
+    NumPy calls per stage, and 6 + 2(h_max-A) with what the caller keeps.
     """
     n = len(beta)
     size = 1 << h_max
@@ -296,8 +306,6 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     fused = min(_FUSED_LEVELS, h_max)
     low = 1 << (fused - 1)
 
-    # v: the next stage's packed values with the level bits cleared; slot
-    # `size` stays dead as the successor of states without a shallow level
     v = np.full(size + 1, dead << _LEVEL_BITS, dtype=dtype)
     for k in range(1, h_max + 1):
         v[(1 << k) - 1] = (k * alpha[n]) << _LEVEL_BITS  # levels 0..k-1 occupied
@@ -315,10 +323,7 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
     # reads row (nu-1) % _PAIR_BLOCK. A matrix product, unlike a broadcast
     # sum, allocates no iteration buffers.
     pair_costs = np.empty((min(n, _PAIR_BLOCK), coef.shape[1]), dtype)
-    # only the states below 2^(h_max-1) can have a choice of level
-    half = size >> 1
-    kept = np.empty((n, half), np.int8) if succ is None else np.empty(succ.shape, dtype)
-    for nu in range(n, 0, -1):
+    for nu in range(n, last - 1, -1):
         row = (nu - 1) % _PAIR_BLOCK
         if nu == n or row == _PAIR_BLOCK - 1:
             first = nu - 1 - row
@@ -332,16 +337,33 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, succ=None):
         for succ_v, b, c, deep_pair in deep:
             np.add(succ_v, costs[deep_pair], out=c)
             np.minimum(b, c, out=b)
-        if succ is None:
-            np.bitwise_and(best[:half], _LEVEL_MASK, out=kept[nu - 1], casting="unsafe")
-        else:
-            v.take(succ[nu - 1], out=kept[nu - 1], mode="clip")
+        yield nu, v, best
         np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
 
-    value = int(v[0]) >> _LEVEL_BITS
+
+def _backward(alpha, beta, h_max: int, dtype, dead: int, rows: int = 0):
+    """The pass of _stages over every stage, and what it keeps of them.
+
+    Returns V_1(0), the int8 policy of every stage over the states below
+    2^(h_max-1), and the next values v of stages 1..rows as a
+    rows x (2^h_max + 1) array: row nu-1 is V_{nu+1} << _LEVEL_BITS, dead
+    slot included, from which _thin_margins reads the candidates of stage
+    nu. Every other state has at most one feasible level, which _walk
+    reads from _kernel_tables, so the policy is n x 2^(h_max-1). A dead
+    V_1(0) raises InfeasibleHeightError.
+    """
+    n = len(beta)
+    half = 1 << (h_max - 1)
+    policy = np.empty((n, half), np.int8)
+    kept = np.empty((rows, (1 << h_max) + 1), dtype)
+    for nu, v, best in _stages(alpha, beta, h_max, dtype, dead):
+        np.bitwise_and(best[:half], _LEVEL_MASK, out=policy[nu - 1], casting="unsafe")
+        if nu <= rows:
+            kept[nu - 1] = v
+    value = int(best[0]) >> _LEVEL_BITS
     if value >= dead:
         raise InfeasibleHeightError("no feasible tree within the height bound")
-    return value, kept
+    return value, policy, kept
 
 
 def _walk(policies):
@@ -371,25 +393,34 @@ def _walk(policies):
     return levels, visited
 
 
-def _thin_margins(alpha, beta, h_max: int, dead: int, visited):
+def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
     """Which walked decisions of a pass on the weights (alpha, beta) have a
     margin too thin to certify them, as n booleans.
 
-    A second pass keeps V_{nu+1} at the successor transition(s, a) of the
-    visited state s of every stage nu and every level a, the dead slot
-    2^h_max where a is not feasible in s. With p the top set bit of s, the
-    packed candidate of a is that value plus (1+max(p, a))*alpha + (a+1)*beta
-    and level a, and the least one is the walked decision's. Entry nu-1 is
-    True when another candidate is at most (E_nu+1) << _LEVEL_BITS above it,
-    with E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
+    The candidates of stage nu read V_{nu+1} at the successor
+    transition(s, a) of its visited state s under every level a, the dead
+    slot 2^h_max where a is not feasible in s. For the first k = len(rows)
+    stages they are gathered from rows, the next values that _backward kept
+    of the same pass; a certificate pass over stages n down to k+1 gathers
+    the rest, so with k = n no second pass runs. With p the top set bit of
+    s, the packed candidate of a is that value plus
+    (1+max(p, a))*alpha + (a+1)*beta and level a, and the least one is the
+    walked decision's. Entry nu-1 is True when another candidate is at most
+    (E_nu+1) << _LEVEL_BITS above it, with E_nu = (h_max+1)(2(n-nu)+3) the
+    rounding bound of stage nu.
     """
     n = len(beta)
+    k = len(rows)
     s = np.array(visited)[:, None]
     a = np.arange(h_max)
     p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
     bit = 1 << a
     succ = np.where(st.is_feasible(s, a), (s & (bit - 1)) | bit, 1 << h_max)
-    _, cand = _backward(alpha, beta, h_max, np.int64, dead, succ)
+    cand = np.empty(succ.shape, np.int64)
+    cand[:k] = np.take_along_axis(rows, succ[:k], axis=1)
+    if k < n:  # a pass sets up its tables even for no stage
+        for nu, v, _ in _stages(alpha, beta, h_max, np.int64, dead, k + 1):
+            v.take(succ[nu - 1], out=cand[nu - 1], mode="clip")
     alpha_nu, beta_nu = np.array(alpha[:n])[:, None], np.array(beta)[:, None]
     cand += (((1 + np.maximum(p, a)) * alpha_nu + (a + 1) * beta_nu) << _LEVEL_BITS) + a
     cand -= cand.min(axis=1, keepdims=True)
@@ -416,10 +447,13 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     candidate by less than E_nu as well. A decision whose candidate beats
     every other one by more than E_nu is the unique exact argmin, which no
     tie rule decides, so it is the exact decision. _thin_margins checks
-    that at every walked state with one more pass on the floored weights;
-    a dead candidate, E_1 + 2 above every finite value, never fails it. On
-    a thinner margin the pass reruns on the exact weights in Python ints,
-    the "object" path.
+    that at every walked state; a dead candidate, E_1 + 2 above every
+    finite value, never fails it. On this path the pass also keeps the next
+    values of as many first stages as _ROW_BUDGET holds, at most that many
+    bytes more, and the check reads those stages' candidates from them: when
+    all n stages fit, the floored path makes one pass, otherwise a second
+    pass on the floored weights covers the stages left. On a thinner margin
+    the pass reruns on the exact weights in Python ints, the "object" path.
 
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
@@ -431,16 +465,20 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     error = 0 if _grid_bits(total, h_max, 1) == 0 else (h_max + 1) * (2 * n + 1)  # E_1
     slack = error + 2 if error else 1
     shift = _grid_bits(total, h_max, slack)
-    floored = [w >> shift for w in alpha], [w >> shift for w in beta]
+    floored = (alpha, beta)
+    if shift:
+        floored = [w >> shift for w in alpha], [w >> shift for w in beta]
     dead = (h_max + 1) * (total >> shift) + slack
-    value, policies = _backward(*floored, h_max, np.int64, dead)
+    fit = min(n, _ROW_BUDGET // (8 * ((1 << h_max) + 1))) if shift else 0
+    value, policies, rows = _backward(*floored, h_max, np.int64, dead, fit)
     levels, visited = _walk(policies)
-    del policies  # before the next pass allocates its own tables
-    if not shift or not _thin_margins(*floored, h_max, dead, visited).any():
+    del policies  # before the certificate pass allocates its own tables
+    if not shift or not _thin_margins(*floored, h_max, dead, visited, rows).any():
         ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
         path = "int64-floored" if shift else "int64"
         return Fraction(value << shift, denom), Fraction(error << shift, denom), ds, path
-    value, policies = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1)
+    del rows  # the exact rerun keeps nothing of the floored pass
+    value, policies, _ = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1)
     ds = DecisionSequence(levels=tuple(_walk(policies)[0]), h_max=h_max)
     return Fraction(value, denom), Fraction(0), ds, "object"
 

@@ -207,8 +207,8 @@ def _mark_every_margin_thin(monkeypatch):
     reruns on the exact object dtype."""
     real = solver._thin_margins
 
-    def every_margin_thin(*args):
-        return np.ones_like(real(*args))
+    def every_margin_thin(alpha, beta, h_max, dead, visited, rows):
+        return np.ones_like(real(alpha, beta, h_max, dead, visited, rows))
 
     monkeypatch.setattr(solver, "_thin_margins", every_margin_thin)
 
@@ -277,6 +277,81 @@ def test_exact_ties_take_the_exact_path(n, d):
         assert path == ("object" if n % 2 == 0 else "int64-floored"), delta
         assert got_ds == ds, delta
         assert low <= cost <= low + error, delta
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(n, None) for n in (63, 64, 65, 129)]
+    + [(n, d) for d in (2**61 - 1, 2**89 - 1) for n in (30, 31, 254, 255)],
+)
+def test_row_split_points_match_the_full_second_pass(monkeypatch, n, d):
+    """With _ROW_BUDGET patched so that the floored pass keeps the rows of
+    its first k = 0, 1, n//2, n-1 and n stages, _kernel_pass returns what
+    it returns at k = 0, where a second pass gathers the candidates of
+    every stage, and _thin_margins flags the same walked stages. The zipf
+    n (d None) lie on both sides of _PAIR_BLOCK boundaries; the mirrored
+    fixtures of even n have a thin walked stage, which a row read one
+    stage off would lose or move."""
+    inst = generate_random_instance(n, n, dist="zipf") if d is None else _mirrored(n, d)
+    weights = inst.integer_weights()
+    real = solver._thin_margins
+    seen = []
+
+    def spy(alpha, beta, h_max, dead, visited, rows):
+        flags = real(alpha, beta, h_max, dead, visited, rows)
+        seen.append((len(rows), flags.tolist()))
+        return flags
+
+    monkeypatch.setattr(solver, "_thin_margins", spy)
+    for delta in range(3):
+        h_max = min(h_min(n) + delta, n)
+        row_bytes = 8 * ((1 << h_max) + 1)
+        runs = []
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            monkeypatch.setattr(solver, "_ROW_BUDGET", (k + 1) * row_bytes - 1)
+            result = _kernel_pass(weights, h_max)
+            kept, flags = seen.pop()
+            assert kept == k, delta
+            runs.append((result, flags))
+        assert all(run == runs[0] for run in runs), delta
+        assert runs[0][0][3] != "int64", delta
+        if d is not None:
+            assert any(runs[0][1]) == (n % 2 == 0), delta
+
+
+def test_kept_rows_stay_within_the_budget(monkeypatch):
+    """A floored shape whose n(2^h+1) next values exceed _ROW_BUDGET keeps
+    the rows of as many first stages as fit, and decides as the full
+    second pass does (budget 0). The exact paths keep no rows: "int64",
+    and the "object" rerun after the floored pass."""
+    real = solver._backward
+    kept = []
+
+    def spy(*args):
+        out = real(*args)
+        kept.append(out[2].nbytes)
+        return out
+
+    monkeypatch.setattr(solver, "_backward", spy)
+    n = 1100
+    h_max = h_min(n)
+    weights = generate_random_instance(n, 5, dist="zipf").integer_weights()
+    row_bytes = 8 * ((1 << h_max) + 1)
+    assert n * row_bytes > solver._ROW_BUDGET
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_ROW_BUDGET", 0)
+        full_second_pass = _kernel_pass(weights, h_max)
+    assert kept.pop() == 0
+    assert _kernel_pass(weights, h_max) == full_second_pass
+    assert full_second_pass[3] == "int64-floored"
+    assert solver._ROW_BUDGET - row_bytes < kept.pop() <= solver._ROW_BUDGET
+
+    assert _kernel_pass(generate_random_instance(n, 5).integer_weights(), h_max)[3] == "int64"
+    assert kept.pop() == 0
+    _mark_every_margin_thin(monkeypatch)
+    weights = generate_random_instance(60, 5, dist="zipf").integer_weights()
+    assert _kernel_pass(weights, h_min(60))[3] == "object"
+    assert kept[0] > 0 and kept[1:] == [0]
 
 
 def _grid_shift_search(total, h_max, slack):
@@ -377,10 +452,12 @@ def _scalar_stage(v_next, alpha, beta, h_max):
 
 def test_thin_flags_match_scalar_margins():
     """_thin_margins after a plain pass and its walk, on exact int64
-    weights: at every walked state the walked level is the smallest-level
-    argmin, and the margin is thin exactly where the runner-up candidate is
-    at most (E_nu+1) << 5 above the best, both taken over the packed finite
-    candidates. Both verdicts occur, and so does an instance whose thin
+    weights, with the rows the pass kept of a random number of first
+    stages: row nu-1 is V_{nu+1} over all states, dead where the scalar
+    pass has no value; at every walked state the walked level is the
+    smallest-level argmin, and the margin is thin exactly where the
+    runner-up candidate is at most (E_nu+1) << 5 above the best, both taken
+    over the packed finite candidates. Both verdicts occur, and so does an instance whose thin
     margins all lie off the walked path, which certifies. Weights in
     {0, 1, 2} times E_nu + 1 of some stage put walked margins on the bound
     itself. Widths run past _FUSED_LEVELS, so segments, shallow moves and
@@ -400,14 +477,19 @@ def test_thin_flags_match_scalar_margins():
             _, alpha, beta = inst.integer_weights()
             total = sum(alpha) + sum(beta)
             dead = (h_max + 1) * total + (h_max + 1) * (2 * n + 1) + 2
-            value, policies = solver._backward(alpha, beta, h_max, np.int64, dead)
+            stored = rng.randint(0, n)  # stages whose candidates come from pass-1 rows
+            value, policies, rows = solver._backward(alpha, beta, h_max, np.int64, dead, stored)
+            assert rows.shape == (stored, (1 << h_max) + 1)
             levels, visited = solver._walk(policies)
-            got = solver._thin_margins(alpha, beta, h_max, dead, visited)
+            got = solver._thin_margins(alpha, beta, h_max, dead, visited, rows)
             v_next = [None] * (1 << h_max)
             for k in range(1, h_max + 1):
                 v_next[(1 << k) - 1] = k * alpha[n]
             thin_anywhere = False
             for nu in range(n, 0, -1):
+                if nu <= stored:  # row nu-1 is V_{nu+1}, dead slot included
+                    row = [c >> solver._LEVEL_BITS for c in rows[nu - 1].tolist()]
+                    assert [None if c >= dead else c for c in row] == v_next + [None], nu
                 margin = ((h_max + 1) * (2 * (n - nu) + 3) + 1) << solver._LEVEL_BITS
                 stage = _scalar_stage(v_next, alpha[nu - 1], beta[nu - 1], h_max)
                 thin = [
@@ -533,7 +615,7 @@ def test_walk_matches_reference_through_the_upper_half():
         )
         _, alpha, beta = inst.integer_weights()
         dead = (h_max + 1) * (sum(alpha) + sum(beta)) + 1
-        _, policies = solver._backward(alpha, beta, h_max, np.int64, dead)
+        _, policies, _ = solver._backward(alpha, beta, h_max, np.int64, dead)
         assert policies.shape == (n, 1 << (h_max - 1))
         levels, visited = solver._walk(policies)
         assert max(visited) >= 1 << (h_max - 1), n

@@ -11,12 +11,11 @@ int64. K = 0 is the exact "int64" path. On the "int64-floored" path
 (K >= 1) every decision the forward walk uses must beat each other
 candidate of its state by more than the rounding bound E_nu =
 (h+1)(2(n-nu)+3) grid units, which is checked at the walked states only.
-The pass keeps its next values V_{nu+1} of as many first stages as
-_ROW_BUDGET bytes hold, and the check reads their candidates there: one
-pass when all n stages fit, at most the budget in extra memory, and
-otherwise a second pass over the stages left. When a margin is thinner,
-the pass reruns in exact Python ints, the "object" path. _stages runs the
-pass over a range of stages; a stage relaxes every level below
+When the next values V_{nu+1} of all n stages fit in _ROW_BUDGET bytes,
+the pass keeps them and the check reads its candidates there, one pass in
+all; otherwise a second pass on the same weights gathers them. When a
+margin is thinner, the pass reruns in exact Python ints, the "object"
+path. _stages runs the pass; a stage relaxes every level below
 A = min(_FUSED_LEVELS, h) of each state below 2^(A-1), and the shallow
 level of every other state, in one gather and one segmented minimum, and
 each deeper level as one contiguous block: 6 + 2(h-A) NumPy calls. Every
@@ -77,10 +76,9 @@ _FUSED_LEVELS = 8
 # _stages builds the pair costs of this many consecutive stages at once,
 # which bounds its pair-cost rows at _PAIR_BLOCK * (h+1)^2 values.
 _PAIR_BLOCK = 64
-# On the floored path, _backward keeps the next values of as many first
-# stages as fit in this many bytes, 8 per state and stage, and _thin_margins
-# reads the candidates of those stages from them instead of recomputing
-# them: a solve whose n(2^h+1) values fit makes one pass instead of two.
+# On the floored path, _backward keeps the next values of every stage when
+# their n(2^h+1) int64 values fit in this many bytes, and _thin_margins
+# reads its candidates from them instead of from a second pass.
 _ROW_BUDGET = 8 << 20
 
 
@@ -275,8 +273,8 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     return tables
 
 
-def _stages(alpha, beta, h_max: int, dtype, dead: int, last: int = 1):
-    """Packed backward pass over all 2^h_max states, stage n down to `last`.
+def _stages(alpha, beta, h_max: int, dtype, dead: int):
+    """Packed backward pass over all 2^h_max states, stage n down to 1.
 
     Yields (nu, v, best) once per stage nu, after its relaxation: v holds
     the packed next values V_{nu+1} with the level bits cleared, and best
@@ -321,14 +319,15 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, last: int = 1):
     ]
     # stages 1 + b*_PAIR_BLOCK .. (b+1)*_PAIR_BLOCK share a block; stage nu
     # reads row (nu-1) % _PAIR_BLOCK. A matrix product, unlike a broadcast
-    # sum, allocates no iteration buffers.
-    pair_costs = np.empty((min(n, _PAIR_BLOCK), coef.shape[1]), dtype)
-    for nu in range(n, last - 1, -1):
+    # sum, allocates no iteration buffers. It makes a new array per block:
+    # np.matmul into an object out= array never releases the values it
+    # overwrites, which leaked every block but the last of an "object" pass.
+    for nu in range(n, 0, -1):
         row = (nu - 1) % _PAIR_BLOCK
         if nu == n or row == _PAIR_BLOCK - 1:
             first = nu - 1 - row
             weights = np.array((alpha[first:nu], beta[first:nu], [1] * (row + 1)), dtype)
-            np.matmul(weights.T, coef, out=pair_costs[: row + 1])
+            pair_costs = weights.T @ coef
         costs = pair_costs[row]
         v.take(kt.succ, out=gathered, mode="clip")
         costs.take(pair, out=move_cost, mode="clip")
@@ -341,29 +340,29 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, last: int = 1):
         np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
 
 
-def _backward(alpha, beta, h_max: int, dtype, dead: int, rows: int = 0):
-    """The pass of _stages over every stage, and what it keeps of them.
+def _backward(alpha, beta, h_max: int, dtype, dead: int, keep_rows: bool = False):
+    """The pass of _stages, and what it keeps of its stages.
 
     Returns V_1(0), the int8 policy of every stage over the states below
-    2^(h_max-1), and the next values v of stages 1..rows as a
-    rows x (2^h_max + 1) array: row nu-1 is V_{nu+1} << _LEVEL_BITS, dead
+    2^(h_max-1), and, with keep_rows, the next values v of every stage as
+    an n x (2^h_max + 1) array: row nu-1 is V_{nu+1} << _LEVEL_BITS, dead
     slot included, from which _thin_margins reads the candidates of stage
-    nu. Every other state has at most one feasible level, which _walk
-    reads from _kernel_tables, so the policy is n x 2^(h_max-1). A dead
-    V_1(0) raises InfeasibleHeightError.
+    nu; None without. Every other state has at most one feasible level,
+    which _walk reads from _kernel_tables, so the policy is
+    n x 2^(h_max-1). A dead V_1(0) raises InfeasibleHeightError.
     """
     n = len(beta)
     half = 1 << (h_max - 1)
     policy = np.empty((n, half), np.int8)
-    kept = np.empty((rows, (1 << h_max) + 1), dtype)
+    rows = np.empty((n, (1 << h_max) + 1), dtype) if keep_rows else None
     for nu, v, best in _stages(alpha, beta, h_max, dtype, dead):
         np.bitwise_and(best[:half], _LEVEL_MASK, out=policy[nu - 1], casting="unsafe")
-        if nu <= rows:
-            kept[nu - 1] = v
+        if keep_rows:
+            rows[nu - 1] = v
     value = int(best[0]) >> _LEVEL_BITS
     if value >= dead:
         raise InfeasibleHeightError("no feasible tree within the height bound")
-    return value, policy, kept
+    return value, policy, rows
 
 
 def _walk(policies):
@@ -399,28 +398,26 @@ def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
 
     The candidates of stage nu read V_{nu+1} at the successor
     transition(s, a) of its visited state s under every level a, the dead
-    slot 2^h_max where a is not feasible in s. For the first k = len(rows)
-    stages they are gathered from rows, the next values that _backward kept
-    of the same pass; a certificate pass over stages n down to k+1 gathers
-    the rest, so with k = n no second pass runs. With p the top set bit of
-    s, the packed candidate of a is that value plus
-    (1+max(p, a))*alpha + (a+1)*beta and level a, and the least one is the
-    walked decision's. Entry nu-1 is True when another candidate is at most
-    (E_nu+1) << _LEVEL_BITS above it, with E_nu = (h_max+1)(2(n-nu)+3) the
-    rounding bound of stage nu.
+    slot 2^h_max where a is not feasible in s. They are gathered from rows,
+    the next values that _backward kept of the same pass, or, when rows is
+    None, by a second pass. With p the top set bit of s, the packed
+    candidate of a is that value plus (1+max(p, a))*alpha + (a+1)*beta and
+    level a, and the least one is the walked decision's. Entry nu-1 is True
+    when another candidate is at most (E_nu+1) << _LEVEL_BITS above it,
+    with E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
     """
     n = len(beta)
-    k = len(rows)
     s = np.array(visited)[:, None]
     a = np.arange(h_max)
     p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
     bit = 1 << a
     succ = np.where(st.is_feasible(s, a), (s & (bit - 1)) | bit, 1 << h_max)
-    cand = np.empty(succ.shape, np.int64)
-    cand[:k] = np.take_along_axis(rows, succ[:k], axis=1)
-    if k < n:  # a pass sets up its tables even for no stage
-        for nu, v, _ in _stages(alpha, beta, h_max, np.int64, dead, k + 1):
+    if rows is None:
+        cand = np.empty(succ.shape, np.int64)
+        for nu, v, _ in _stages(alpha, beta, h_max, np.int64, dead):
             v.take(succ[nu - 1], out=cand[nu - 1], mode="clip")
+    else:
+        cand = np.take_along_axis(rows, succ, axis=1)
     alpha_nu, beta_nu = np.array(alpha[:n])[:, None], np.array(beta)[:, None]
     cand += (((1 + np.maximum(p, a)) * alpha_nu + (a + 1) * beta_nu) << _LEVEL_BITS) + a
     cand -= cand.min(axis=1, keepdims=True)
@@ -448,12 +445,11 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     every other one by more than E_nu is the unique exact argmin, which no
     tie rule decides, so it is the exact decision. _thin_margins checks
     that at every walked state; a dead candidate, E_1 + 2 above every
-    finite value, never fails it. On this path the pass also keeps the next
-    values of as many first stages as _ROW_BUDGET holds, at most that many
-    bytes more, and the check reads those stages' candidates from them: when
-    all n stages fit, the floored path makes one pass, otherwise a second
-    pass on the floored weights covers the stages left. On a thinner margin
-    the pass reruns on the exact weights in Python ints, the "object" path.
+    finite value, never fails it. When the n(2^h_max + 1) int64 next values
+    of the pass fit in _ROW_BUDGET bytes, the pass keeps them and the check
+    reads its candidates from them, one pass in all; otherwise a second
+    pass on the floored weights gathers them. On a thinner margin the pass
+    reruns on the exact weights in Python ints, the "object" path.
 
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
@@ -469,10 +465,10 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     if shift:
         floored = [w >> shift for w in alpha], [w >> shift for w in beta]
     dead = (h_max + 1) * (total >> shift) + slack
-    fit = min(n, _ROW_BUDGET // (8 * ((1 << h_max) + 1))) if shift else 0
-    value, policies, rows = _backward(*floored, h_max, np.int64, dead, fit)
+    keep_rows = shift > 0 and n * 8 * ((1 << h_max) + 1) <= _ROW_BUDGET
+    value, policies, rows = _backward(*floored, h_max, np.int64, dead, keep_rows)
     levels, visited = _walk(policies)
-    del policies  # before the certificate pass allocates its own tables
+    del policies  # before a certificate pass allocates its own tables
     if not shift or not _thin_margins(*floored, h_max, dead, visited, rows).any():
         ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
         path = "int64-floored" if shift else "int64"

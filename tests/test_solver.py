@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import inf
 
@@ -229,6 +230,28 @@ def test_floored_path_matches_object_path(monkeypatch, n):
         assert zero == 0 and low <= cost <= low + error
 
 
+def test_object_pass_releases_its_pair_costs():
+    """An "object" pass over three blocks of _PAIR_BLOCK stages leaves no
+    Python ints behind: three more passes hold no more traced memory than
+    one. np.matmul into an object out= array keeps the values it
+    overwrites, about 0.35 MB per block here."""
+    n = 3 * solver._PAIR_BLOCK
+    h_max = h_min(n)
+    _, alpha, beta = generate_random_instance(n, 5, dist="zipf").integer_weights()
+    dead = (h_max + 1) * (sum(alpha) + sum(beta)) + 1
+    solver._backward(alpha, beta, h_max, object, dead)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        solver._backward(alpha, beta, h_max, object, dead)
+        one, _ = tracemalloc.get_traced_memory()
+        for _ in range(3):
+            solver._backward(alpha, beta, h_max, object, dead)
+        four, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert four - one < 64 << 10
+
+
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
 def test_pair_cost_blocks_match_reference(monkeypatch, blocks, extra):
     """n stages on both sides of one and of two blocks of _PAIR_BLOCK, so
@@ -279,19 +302,32 @@ def test_exact_ties_take_the_exact_path(n, d):
         assert low <= cost <= low + error, delta
 
 
+def _record_passes(monkeypatch):
+    """Record the dtype of every pass that _stages starts."""
+    real = solver._stages
+    passes = []
+
+    def recorded(alpha, beta, h_max, dtype, dead):
+        passes.append(dtype)
+        return real(alpha, beta, h_max, dtype, dead)
+
+    monkeypatch.setattr(solver, "_stages", recorded)
+    return passes
+
+
 @pytest.mark.parametrize(
     "n, d",
     [(n, None) for n in (63, 64, 65, 129)]
     + [(n, d) for d in (2**61 - 1, 2**89 - 1) for n in (30, 31, 254, 255)],
 )
-def test_row_split_points_match_the_full_second_pass(monkeypatch, n, d):
-    """With _ROW_BUDGET patched so that the floored pass keeps the rows of
-    its first k = 0, 1, n//2, n-1 and n stages, _kernel_pass returns what
-    it returns at k = 0, where a second pass gathers the candidates of
-    every stage, and _thin_margins flags the same walked stages. The zipf
-    n (d None) lie on both sides of _PAIR_BLOCK boundaries; the mirrored
-    fixtures of even n have a thin walked stage, which a row read one
-    stage off would lose or move."""
+def test_pass_one_rows_match_the_second_pass(monkeypatch, n, d):
+    """With _ROW_BUDGET patched to the n(2^h+1) int64 next values of the
+    floored pass, the pass keeps them and _thin_margins reads them: one
+    int64 pass in all. One byte less keeps none, and a second int64 pass
+    gathers the candidates. Both give the same _kernel_pass result and the
+    same flags. The zipf n (d None) lie on both sides of _PAIR_BLOCK
+    boundaries; the mirrored fixtures of even n have a thin walked stage,
+    which a row read one stage off would lose or move."""
     inst = generate_random_instance(n, n, dist="zipf") if d is None else _mirrored(n, d)
     weights = inst.integer_weights()
     real = solver._thin_margins
@@ -299,58 +335,66 @@ def test_row_split_points_match_the_full_second_pass(monkeypatch, n, d):
 
     def spy(alpha, beta, h_max, dead, visited, rows):
         flags = real(alpha, beta, h_max, dead, visited, rows)
-        seen.append((len(rows), flags.tolist()))
+        seen.append((rows is not None, flags.tolist()))
         return flags
 
     monkeypatch.setattr(solver, "_thin_margins", spy)
+    passes = _record_passes(monkeypatch)
     for delta in range(3):
         h_max = min(h_min(n) + delta, n)
-        row_bytes = 8 * ((1 << h_max) + 1)
+        all_rows = n * 8 * ((1 << h_max) + 1)
         runs = []
-        for k in sorted({0, 1, n // 2, n - 1, n}):
-            monkeypatch.setattr(solver, "_ROW_BUDGET", (k + 1) * row_bytes - 1)
+        for budget, kept, int64_passes in ((all_rows, True, 1), (all_rows - 1, False, 2)):
+            monkeypatch.setattr(solver, "_ROW_BUDGET", budget)
+            passes.clear()
             result = _kernel_pass(weights, h_max)
-            kept, flags = seen.pop()
-            assert kept == k, delta
+            assert passes[:int64_passes] == [np.int64] * int64_passes, delta
+            assert passes[int64_passes:] == ([object] if result[3] == "object" else []), delta
+            rows, flags = seen.pop()
+            assert rows == kept, delta
             runs.append((result, flags))
-        assert all(run == runs[0] for run in runs), delta
+        assert runs[0] == runs[1], delta
         assert runs[0][0][3] != "int64", delta
         if d is not None:
             assert any(runs[0][1]) == (n % 2 == 0), delta
 
 
-def test_kept_rows_stay_within_the_budget(monkeypatch):
+def test_rows_kept_only_when_every_stage_fits(monkeypatch):
     """A floored shape whose n(2^h+1) next values exceed _ROW_BUDGET keeps
-    the rows of as many first stages as fit, and decides as the full
-    second pass does (budget 0). The exact paths keep no rows: "int64",
-    and the "object" rerun after the floored pass."""
+    no rows and certifies with a second pass; at a budget that holds them
+    it keeps all n rows, exactly that many bytes, and decides the same in
+    one pass. The exact paths keep no rows: "int64", and the "object"
+    rerun after a floored pass that kept them."""
     real = solver._backward
     kept = []
 
     def spy(*args):
         out = real(*args)
-        kept.append(out[2].nbytes)
+        kept.append(0 if out[2] is None else out[2].nbytes)
         return out
 
     monkeypatch.setattr(solver, "_backward", spy)
+    passes = _record_passes(monkeypatch)
     n = 1100
     h_max = h_min(n)
     weights = generate_random_instance(n, 5, dist="zipf").integer_weights()
-    row_bytes = 8 * ((1 << h_max) + 1)
-    assert n * row_bytes > solver._ROW_BUDGET
+    all_rows = n * 8 * ((1 << h_max) + 1)
+    assert all_rows > solver._ROW_BUDGET
+    second_pass = _kernel_pass(weights, h_max)
+    assert second_pass[3] == "int64-floored"
+    assert kept.pop() == 0 and passes == [np.int64, np.int64]
     with monkeypatch.context() as m:
-        m.setattr(solver, "_ROW_BUDGET", 0)
-        full_second_pass = _kernel_pass(weights, h_max)
-    assert kept.pop() == 0
-    assert _kernel_pass(weights, h_max) == full_second_pass
-    assert full_second_pass[3] == "int64-floored"
-    assert solver._ROW_BUDGET - row_bytes < kept.pop() <= solver._ROW_BUDGET
+        m.setattr(solver, "_ROW_BUDGET", all_rows)
+        passes.clear()
+        assert _kernel_pass(weights, h_max) == second_pass
+    assert kept.pop() == all_rows and passes == [np.int64]
 
+    n, h_max = 60, h_min(60)  # rows that fit
     assert _kernel_pass(generate_random_instance(n, 5).integer_weights(), h_max)[3] == "int64"
     assert kept.pop() == 0
     _mark_every_margin_thin(monkeypatch)
-    weights = generate_random_instance(60, 5, dist="zipf").integer_weights()
-    assert _kernel_pass(weights, h_min(60))[3] == "object"
+    weights = generate_random_instance(n, 5, dist="zipf").integer_weights()
+    assert _kernel_pass(weights, h_max)[3] == "object"
     assert kept[0] > 0 and kept[1:] == [0]
 
 
@@ -452,12 +496,12 @@ def _scalar_stage(v_next, alpha, beta, h_max):
 
 def test_thin_flags_match_scalar_margins():
     """_thin_margins after a plain pass and its walk, on exact int64
-    weights, with the rows the pass kept of a random number of first
-    stages: row nu-1 is V_{nu+1} over all states, dead where the scalar
-    pass has no value; at every walked state the walked level is the
-    smallest-level argmin, and the margin is thin exactly where the
-    runner-up candidate is at most (E_nu+1) << 5 above the best, both taken
-    over the packed finite candidates. Both verdicts occur, and so does an instance whose thin
+    weights, given the rows the pass kept or, at random, none: row nu-1 is
+    V_{nu+1} over all states, dead where the scalar pass has no value; at
+    every walked state the walked level is the smallest-level argmin, and
+    the margin is thin exactly where the runner-up candidate is at most
+    (E_nu+1) << 5 above the best, both taken over the packed finite
+    candidates. Both verdicts occur, and so does an instance whose thin
     margins all lie off the walked path, which certifies. Weights in
     {0, 1, 2} times E_nu + 1 of some stage put walked margins on the bound
     itself. Widths run past _FUSED_LEVELS, so segments, shallow moves and
@@ -477,9 +521,9 @@ def test_thin_flags_match_scalar_margins():
             _, alpha, beta = inst.integer_weights()
             total = sum(alpha) + sum(beta)
             dead = (h_max + 1) * total + (h_max + 1) * (2 * n + 1) + 2
-            stored = rng.randint(0, n)  # stages whose candidates come from pass-1 rows
+            stored = rng.random() < 0.5  # candidates from pass-1 rows, else a second pass
             value, policies, rows = solver._backward(alpha, beta, h_max, np.int64, dead, stored)
-            assert rows.shape == (stored, (1 << h_max) + 1)
+            assert rows is None if not stored else rows.shape == (n, (1 << h_max) + 1)
             levels, visited = solver._walk(policies)
             got = solver._thin_margins(alpha, beta, h_max, dead, visited, rows)
             v_next = [None] * (1 << h_max)
@@ -487,7 +531,7 @@ def test_thin_flags_match_scalar_margins():
                 v_next[(1 << k) - 1] = k * alpha[n]
             thin_anywhere = False
             for nu in range(n, 0, -1):
-                if nu <= stored:  # row nu-1 is V_{nu+1}, dead slot included
+                if stored:  # row nu-1 is V_{nu+1}, dead slot included
                     row = [c >> solver._LEVEL_BITS for c in rows[nu - 1].tolist()]
                     assert [None if c >= dead else c for c in row] == v_next + [None], nu
                 margin = ((h_max + 1) * (2 * (n - nu) + 3) + 1) << solver._LEVEL_BITS

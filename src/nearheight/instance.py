@@ -91,8 +91,13 @@ class ProblemInstance:
     keys: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
-        object.__setattr__(self, "alpha", tuple(Fraction(a) for a in self.alpha))
+        """Convert the weights to Fractions; a weight that does not convert
+        raises InstanceError."""
+        for name in ("beta", "alpha"):
+            try:
+                object.__setattr__(self, name, tuple(Fraction(w) for w in getattr(self, name)))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+                raise InstanceError(f"{name} must hold rational weights: {e}") from e
         if self.keys is not None:
             object.__setattr__(self, "keys", tuple(self.keys))
 

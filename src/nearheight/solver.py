@@ -2,42 +2,27 @@
 
 Stage nu places key k_nu on a level; states are rightmost-path bit masks,
 and states.is_feasible is the one rule for which levels a state admits.
-solve() runs one NumPy kernel over those levels of every state, listed once
-per width as the moves of _kernel_tables, for height bounds
-(instance.height_bound) up to states.TABLE_MAX_WIDTH and policies up to
-states.POLICY_MAX_BYTES. The kernel is one int64 pass on the weights
-floored to a 2^K grid, with K the smallest grid whose packed values fit
-int64. K = 0 is the exact "int64" path. On the "int64-floored" path
-(K >= 1) every decision the forward walk uses must beat each other
-candidate of its state by more than the rounding bound E_nu =
-(h+1)(2(n-nu)+3) grid units, which is checked at the walked states only.
-When the next values V_{nu+1} of all n stages fit in _ROW_BUDGET bytes,
-the pass keeps them and the check reads its candidates there, one pass in
-all; otherwise a second pass on the same weights gathers them. When a
-margin is thinner, the pass reruns in exact Python ints, the "object"
-path. _stages runs the pass; a stage relaxes every level below
-A = min(_FUSED_LEVELS, h) of each state below 2^(A-1), and the shallow
-level of every other state, in one gather and one segmented minimum, and
-each deeper level as one contiguous block: 6 + 2(h-A) NumPy calls. Every
-move costs (1+max(p, a))*alpha + (a+1)*beta, p the top set bit of the
-state, read from its stage's row of pair costs; one matrix product with the
-coef matrix of _kernel_tables makes the rows of _PAIR_BLOCK stages. The
-int8 policy covers the states below 2^(h-1) only: a state with bit h-1 set
-has no level above it, so at most its shallow level, and the walk takes
-that move from _kernel_tables. The dict-based backward_pass/forward_pass
-over the reachable sets of states.StageSets is the reference the tests
-compare it with; solve() never calls it. Both compute on
-ProblemInstance.integer_weights() and break value ties toward the smallest
-level, with bit-identical decisions. solve()
-scales the weights once, rebuilds the tree with build_tree_from_decisions,
-which replays the decisions through the state machine once, and reports the
-tree's weighted path length, summed over the same integers, as the cost. It
-checks that the kernel's value lies at most its rounding bound (0 on the
-exact paths) below it.
+solve() runs one NumPy kernel; each fact about it is stated once, where
+the code that keeps it lives:
+
+- _kernel_pass: the grid shift K, the "int64", "int64-floored" and
+  "object" paths, the rounding bound, and when a pass keeps its rows;
+- _KernelTables: the move layout and each move's pair cost, which only
+  _kernel_tables builds;
+- _stages: one stage's relaxation and the blocks of pair costs;
+- _backward: the policy over the states below 2^(h-1), and the kept rows;
+- _walk: the one move of every other state;
+- _thin_margins: the certificate of a floored pass;
+- solve(): the height bound, the refusals and the cost check.
+
+The dict-based backward_pass/forward_pass is the reference the tests
+compare the kernel with; solve() never calls it. Both break value ties
+toward the smallest level.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -121,19 +106,23 @@ class Solution:
 
 
 def solution_from_obj(obj: dict) -> "Solution":
-    """Rebuild a Solution from its JSON object form. A missing field, or
-    one of the wrong type, raises InstanceError."""
-    from .instance import InstanceError, json_int, parse_weight, tree_from_obj
+    """Rebuild a Solution from its JSON object form. A missing field, one
+    of the wrong type, or decisions other than the tree's key levels raise
+    InstanceError."""
+    from .instance import InstanceError, json_int, key_levels, parse_weight, tree_from_obj
 
     if not isinstance(obj, dict) or not {"wpl", "decisions", "h_max", "tree"} <= obj.keys():
         raise InstanceError("solution needs 'wpl', 'decisions', 'h_max' and 'tree'")
     if not isinstance(obj["decisions"], list):
         raise InstanceError("'decisions' must be a JSON array")
     levels = tuple(json_int(a, "decision") for a in obj["decisions"])
+    tree = tree_from_obj(obj["tree"])
+    if key_levels(tree) != levels:
+        raise InstanceError("'decisions' are not the key levels of 'tree'")
     return Solution(
         cost=parse_weight(obj["wpl"]),
         decisions=DecisionSequence(levels=levels, h_max=json_int(obj["h_max"], "h_max")),
-        tree=tree_from_obj(obj["tree"]),
+        tree=tree,
     )
 
 
@@ -227,13 +216,14 @@ class _KernelTables(NamedTuple):
 
     Column g*(h_max+1) + k of coef is (g << 5, k << 5, max(k-1, 0)): times
     (alpha, beta, 1), the packed cost g*alpha + k*beta of pair (g, k), with
-    level max(k-1, 0). With A = min(_FUSED_LEVELS, h_max), the moves are the shallow level
-    q-1 of each state s >= 2^(A-1), in order, then one segment per state
-    s < 2^(A-1) listing its levels below A by states.is_feasible, ascending
-    (never empty); p is the top set bit of s (-1 for s = 0) and q the lowest
-    bit of the run of set bits ending at p. Every move (s, a) goes to
-    transition(s, a) at pair (1+max(p, a), a+1); a state without a shallow
-    level moves to the dead slot 2^h_max at pair 0 (cost 0, level 0).
+    level max(k-1, 0). With A = min(_FUSED_LEVELS, h_max), the moves are the
+    shallow level q-1 of each state s >= 2^(A-1), in order, then one segment
+    per state s < 2^(A-1) listing its levels below A by states.is_feasible,
+    ascending (never empty), so starts has 2^(A-1) entries; p is the top set
+    bit of s (-1 for s = 0) and q the lowest bit of the run of set bits
+    ending at p. Every move (s, a) goes to transition(s, a) at pair
+    (1+max(p, a), a+1); a state without a shallow level moves to the dead
+    slot 2^h_max at pair 0 (cost 0, level 0).
     """
 
     coef: np.ndarray  # 3 x (h_max+1)^2 pair coefficients (int64)
@@ -242,14 +232,9 @@ class _KernelTables(NamedTuple):
     starts: np.ndarray  # first move of each segment, from the first segment (intp)
 
 
-_KERNEL_CACHE = {}
-
-
+@functools.cache
 def _kernel_tables(h_max: int) -> _KernelTables:
     """The _KernelTables of width h_max, built once per width and cached."""
-    cached = _KERNEL_CACHE.get(h_max)
-    if cached is not None:
-        return cached
     size = 1 << h_max
     width = h_max + 1
     gap, key = np.divmod(np.arange(width * width), width)
@@ -263,14 +248,12 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     a = np.frexp(s ^ ((1 << (p + 1)) - 1))[1] - 1
     a[size - low :] = seg_level
     bit = 1 << np.maximum(a, 0)
-    tables = _KernelTables(
+    return _KernelTables(
         np.array((gap << _LEVEL_BITS, key << _LEVEL_BITS, np.maximum(key - 1, 0))),
         np.where(a >= 0, (s & (bit - 1)) | bit, size),
         np.where(a >= 0, (1 + np.maximum(p, a)) * width + a + 1, 0).astype(np.int16),
         np.flatnonzero(np.diff(seg, prepend=-1)),
     )
-    _KERNEL_CACHE[h_max] = tables
-    return tables
 
 
 def _stages(alpha, beta, h_max: int, dtype, dead: int):
@@ -301,8 +284,7 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int):
     kt = _kernel_tables(h_max)
     pair = kt.pair.astype(np.intp)
     coef = kt.coef.astype(dtype)
-    fused = min(_FUSED_LEVELS, h_max)
-    low = 1 << (fused - 1)
+    low = len(kt.starts)  # 2^(A-1), one segment per state below it
 
     v = np.full(size + 1, dead << _LEVEL_BITS, dtype=dtype)
     for k in range(1, h_max + 1):
@@ -315,7 +297,7 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int):
     # deep level a >= A takes state s < 2^a to s + 2^a at pair (a+1, a+1)
     deep = [
         (v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a], (a + 1) * (h_max + 2))
-        for a in range(fused, h_max)
+        for a in range(low.bit_length(), h_max)
     ]
     # stages 1 + b*_PAIR_BLOCK .. (b+1)*_PAIR_BLOCK share a block; stage nu
     # reads row (nu-1) % _PAIR_BLOCK. A matrix product, unlike a broadcast
@@ -348,8 +330,8 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, keep_rows: bool = False
     an n x (2^h_max + 1) array: row nu-1 is V_{nu+1} << _LEVEL_BITS, dead
     slot included, from which _thin_margins reads the candidates of stage
     nu; None without. Every other state has at most one feasible level,
-    which _walk reads from _kernel_tables, so the policy is
-    n x 2^(h_max-1). A dead V_1(0) raises InfeasibleHeightError.
+    which _walk computes from the state, so the policy is n x 2^(h_max-1).
+    A dead V_1(0) raises InfeasibleHeightError.
     """
     n = len(beta)
     half = 1 << (h_max - 1)
@@ -372,23 +354,17 @@ def _walk(policies):
     The policy of _backward covers the states below 2^(h_max-1), h_max
     read from its width. A state s at or above has no level above its top
     set bit h_max-1, so its one move, where its value is finite, is its
-    shallow level: move s - 2^(A-1) of _kernel_tables, whose level is the
-    top set bit of its successor."""
+    shallow level q-1, q the lowest bit of the run of set bits ending at
+    h_max-1: the top set bit of (2^h_max - 1) ^ s."""
     half = policies.shape[1]
-    h_max = half.bit_length()
-    low = 1 << (min(_FUSED_LEVELS, h_max) - 1)
-    upper = _kernel_tables(h_max).succ[half - low :]  # the moves of s >= half
+    full = 2 * half - 1
     levels, visited = [], []
     s = 0
     for nu in range(len(policies)):
         visited.append(s)
-        if s < half:
-            a = policies.item(nu, s)
-            s = (s & ((1 << a) - 1)) | (1 << a)
-        else:
-            s = upper.item(s - half)
-            a = s.bit_length() - 1
+        a = policies.item(nu, s) if s < half else (full ^ s).bit_length() - 1
         levels.append(a)
+        s = (s & ((1 << a) - 1)) | (1 << a)
     return levels, visited
 
 
@@ -469,14 +445,14 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     value, policies, rows = _backward(*floored, h_max, np.int64, dead, keep_rows)
     levels, visited = _walk(policies)
     del policies  # before a certificate pass allocates its own tables
-    if not shift or not _thin_margins(*floored, h_max, dead, visited, rows).any():
-        ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
-        path = "int64-floored" if shift else "int64"
-        return Fraction(value << shift, denom), Fraction(error << shift, denom), ds, path
-    del rows  # the exact rerun keeps nothing of the floored pass
-    value, policies, _ = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1)
-    ds = DecisionSequence(levels=tuple(_walk(policies)[0]), h_max=h_max)
-    return Fraction(value, denom), Fraction(0), ds, "object"
+    path = "int64-floored" if shift else "int64"
+    if shift and _thin_margins(*floored, h_max, dead, visited, rows).any():
+        del rows  # the exact rerun keeps nothing of the floored pass
+        value, policies, _ = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1)
+        levels = _walk(policies)[0]
+        shift, error, path = 0, 0, "object"
+    ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
+    return Fraction(value << shift, denom), Fraction(error << shift, denom), ds, path
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,17 @@ def test_height_bound_refuses_non_integer_delta(golden_instance, delta):
         solve(golden_instance, delta)
 
 
+@pytest.mark.parametrize("weight", ["1/0", "abc", float("nan"), float("inf"), None, [1]])
+def test_instance_refuses_unconvertible_weights(weight):
+    """A weight that is not a rational raises InstanceError, as a key
+    weight and as a gap weight, not ZeroDivisionError, ValueError,
+    OverflowError or TypeError."""
+    with pytest.raises(InstanceError, match="beta must hold rational weights"):
+        ProblemInstance(beta=(weight,), alpha=(0, 0))
+    with pytest.raises(InstanceError, match="alpha must hold rational weights"):
+        ProblemInstance(beta=(1,), alpha=(0, weight))
+
+
 def test_validate_negative_weight():
     inst = ProblemInstance(beta=(Fraction(-1, 2),), alpha=(0, 0))
     assert any("negative" in p for p in inst.validate())

@@ -670,10 +670,12 @@ def test_walk_matches_reference_through_the_upper_half():
 
 def test_cached_tables_stay_within_ten_bytes_per_state():
     """The arrays cached for a width, the kernel's move table and
-    constants, take at most 10 bytes per state plus a fixed allowance."""
+    constants, take at most 10 bytes per state plus a fixed allowance, and
+    each width is built once: a second call returns the same object."""
     for h_max in range(1, 17):
         solve(generate_random_instance(h_max, h_max), h_max)  # clamped to width n
-        cached = list(solver._KERNEL_CACHE[h_max])
+        cached = solver._kernel_tables(h_max)
+        assert solver._kernel_tables(h_max) is cached, h_max
         assert sum(a.nbytes for a in cached) <= 10 * (1 << h_max) + 64 * 1024, h_max
 
 
@@ -780,7 +782,15 @@ def test_fast_engine_relaxation_count_matches_tables():
 def test_solution_reader_checks_levels():
     """A solution read from outside whose node levels do not follow the
     tree's shape is refused, not scored: with gap 2 moved to level 0 the
-    levels would give a wpl of 11 for a tree whose wpl is 12."""
+    levels would give a wpl of 11 for a tree whose wpl is 12. Nor is one
+    whose decisions are not its tree's key levels: the decisions (1, 0) of
+    beta = (1, 5) with the tree of beta = (5, 1), whose levels are (0, 1)."""
+    zero = (Fraction(0),) * 3
+    obj = solve(ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=zero), 0).to_obj()
+    swapped = solve(ProblemInstance(beta=(Fraction(5), Fraction(1)), alpha=zero), 0).to_obj()
+    assert (obj["decisions"], swapped["decisions"]) == ([1, 0], [0, 1])
+    with pytest.raises(InstanceError, match="not the key levels"):
+        solution_from_obj(dict(obj, tree=swapped["tree"]))
     inst = ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=(1, 1, 1))
     obj = json.loads(json.dumps(solve(inst, 0).to_obj()))
     assert obj["wpl"] == "12"

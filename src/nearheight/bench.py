@@ -9,7 +9,7 @@ instance.height_bound(n, delta).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from .instance import format_weight, generate_random_instance, height_bound
@@ -32,11 +32,14 @@ class RunReport:
     n: int
     delta: int
     seed: Optional[int]
-    relaxation_count: int
     state_counts: List[int]  # |S_nu| for nu = 1..n+1
     decision_counts: List[int]  # sum |D(s)| over S_nu for nu = 1..n
     wall_clock_s: Optional[float]
     wpl: Optional[str]
+
+    @property
+    def relaxation_count(self) -> int:
+        return sum(self.decision_counts)
 
     @property
     def max_state_count(self) -> int:
@@ -95,16 +98,8 @@ def state_stats(n: int, delta: int) -> RunReport:
     """Reachable-state and decision-set counts only, no solve, at the height
     bound solve() uses (instance.height_bound)."""
     sizes, sums = states.stage_counts(n, height_bound(n, delta))
-    return RunReport(
-        n=n,
-        delta=delta,
-        seed=None,
-        relaxation_count=sum(sums),
-        state_counts=sizes,
-        decision_counts=sums,
-        wall_clock_s=None,
-        wpl=None,
-    )
+    return RunReport(n, delta, seed=None, state_counts=sizes, decision_counts=sums,
+                     wall_clock_s=None, wpl=None)
 
 
 def run_scaling(
@@ -129,15 +124,6 @@ def run_scaling(
             sol = solve(inst, delta)
             wall = time.perf_counter() - t0
             reports.append(
-                RunReport(
-                    n=n,
-                    delta=delta,
-                    seed=inst_seed,
-                    relaxation_count=counts.relaxation_count,
-                    state_counts=counts.state_counts,
-                    decision_counts=counts.decision_counts,
-                    wall_clock_s=wall,
-                    wpl=format_weight(sol.cost),
-                )
+                replace(counts, seed=inst_seed, wall_clock_s=wall, wpl=format_weight(sol.cost))
             )
     return reports

@@ -16,6 +16,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Union
 
+from . import states
+from .states import h_min
+
 
 class InstanceError(ValueError):
     """Malformed instance data or instance file."""
@@ -27,16 +30,6 @@ class InfeasibleDecisionError(ValueError):
     def __init__(self, message: str, stage: Optional[int] = None):
         super().__init__(message)
         self.stage = stage
-
-
-def h_min(n: int) -> int:
-    """Minimum height of a binary search tree on n keys: ceil(log2(n+1)).
-
-    Pure integer arithmetic; h_min(n) == n.bit_length().
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return n.bit_length()
 
 
 def height_bound(n: int, delta: int) -> int:
@@ -412,8 +405,6 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
     contiguous rightmost path, always forms a tree; any other raises
     InfeasibleDecisionError with the failing stage (n+1 for the final state).
     """
-    from . import states
-
     if len(ds) != n:
         raise InfeasibleDecisionError(f"need {n} decisions, got {len(ds)}")
     s = 0
@@ -463,8 +454,8 @@ def generate_random_instance(
 
     uniform: numerators drawn in [1, 1000] over denominator 1000.
     zipf: keys get weights 1/rank over a random permutation of ranks 1..n,
-    gaps likewise with ranks 1..n+1, all over the common denominator
-    lcm(1..n+1).
+    gaps likewise with ranks 1..n+1; integer_weights puts them over their
+    common denominator lcm(1..n+1).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -474,13 +465,12 @@ def generate_random_instance(
         beta = tuple(Fraction(rng.randint(1, 1000), denom) for _ in range(n))
         alpha = tuple(Fraction(rng.randint(1, 1000), denom) for _ in range(n + 1))
     elif dist == "zipf":
-        denom = lcm(*range(1, n + 2))
         key_ranks = list(range(1, n + 1))
         gap_ranks = list(range(1, n + 2))
         rng.shuffle(key_ranks)
         rng.shuffle(gap_ranks)
-        beta = tuple(Fraction(denom // r, denom) for r in key_ranks)
-        alpha = tuple(Fraction(denom // r, denom) for r in gap_ranks)
+        beta = tuple(Fraction(1, r) for r in key_ranks)
+        alpha = tuple(Fraction(1, r) for r in gap_ranks)
     else:
         raise ValueError(f"unknown distribution {dist!r}")
     if zero_alpha:

@@ -32,12 +32,17 @@ import numpy as np
 
 from .instance import (
     DecisionSequence,
+    InstanceError,
     Node,
     ProblemInstance,
     build_tree_from_decisions,
     format_weight,
     h_min,
     height_bound,
+    json_int,
+    key_levels,
+    parse_weight,
+    tree_from_obj,
     tree_height,
     tree_to_obj,
     weighted_path_length,
@@ -107,10 +112,8 @@ class Solution:
 
 def solution_from_obj(obj: dict) -> "Solution":
     """Rebuild a Solution from its JSON object form. A missing field, one
-    of the wrong type, or decisions other than the tree's key levels raise
-    InstanceError."""
-    from .instance import InstanceError, json_int, key_levels, parse_weight, tree_from_obj
-
+    of the wrong type, decisions other than the tree's key levels, or an
+    h_max that does not hold them raise InstanceError."""
     if not isinstance(obj, dict) or not {"wpl", "decisions", "h_max", "tree"} <= obj.keys():
         raise InstanceError("solution needs 'wpl', 'decisions', 'h_max' and 'tree'")
     if not isinstance(obj["decisions"], list):
@@ -119,11 +122,11 @@ def solution_from_obj(obj: dict) -> "Solution":
     tree = tree_from_obj(obj["tree"])
     if key_levels(tree) != levels:
         raise InstanceError("'decisions' are not the key levels of 'tree'")
-    return Solution(
-        cost=parse_weight(obj["wpl"]),
-        decisions=DecisionSequence(levels=levels, h_max=json_int(obj["h_max"], "h_max")),
-        tree=tree,
-    )
+    h_max = json_int(obj["h_max"], "h_max")
+    if h_max <= max(levels, default=-1):
+        raise InstanceError(f"'h_max' {h_max} is negative or not above every decision")
+    decisions = DecisionSequence(levels=levels, h_max=h_max)
+    return Solution(cost=parse_weight(obj["wpl"]), decisions=decisions, tree=tree)
 
 
 def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:

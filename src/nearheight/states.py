@@ -16,8 +16,6 @@ from typing import List
 
 import numpy as np
 
-from .instance import h_min
-
 # A table holds 2^h_max slots; the solver's kernel keeps n half tables as
 # its policy, and at width 24, n = 24 peaks at about 0.9 GB RSS.
 TABLE_MAX_WIDTH = 24
@@ -25,6 +23,13 @@ TABLE_MAX_WIDTH = 24
 # (policy_bytes): n = 16000 at width 17 takes 1 GB, n = 1000 at width 24
 # would take 8 GB.
 POLICY_MAX_BYTES = 1 << 32
+
+
+def h_min(n: int) -> int:
+    """Minimum height of a binary search tree on n keys, ceil(log2(n+1))."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return n.bit_length()
 
 
 class WidthError(ValueError):
@@ -128,12 +133,12 @@ def stage_counts(n: int, h_max: int):
     min_keys, max_keys, degree = capacity_profile(h_max)
     hi = np.minimum(max_keys, n)
     live = min_keys <= hi
-    lo, hi, deg = min_keys[live], hi[live] + 1, degree[live]
-    sizes = np.cumsum(np.bincount(lo, minlength=n + 2) - np.bincount(hi, minlength=n + 2))
-    # float weights sum exactly: every partial sum is far below 2^53
-    sums = np.cumsum(
-        np.bincount(lo, weights=deg, minlength=n + 2)
-        - np.bincount(hi, weights=deg, minlength=n + 2)
+    lo, hi = min_keys[live], hi[live] + 1
+    # S_nu holds the states with lo <= nu-1 < hi; the degree-weighted float
+    # sums are exact, every partial sum being far below 2^53
+    sizes, sums = (
+        np.cumsum(np.bincount(lo, w, n + 2) - np.bincount(hi, w, n + 2))
+        for w in (None, degree[live])
     )
     return sizes[: n + 1].tolist(), sums[:n].astype(np.int64).tolist()
 

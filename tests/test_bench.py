@@ -88,6 +88,31 @@ def test_report_serialization_round_trip():
     assert obj["relaxation_count"] == report.relaxation_count
 
 
+def test_state_stats_record_is_pinned():
+    """The whole record of n = 4, delta = 0 (h = 3), key order included:
+    S_1 = {0} has all 3 levels, and S_2 = {1, 2, 4}, one key on level 0,
+    1 or 2, has 2 + 2 + 1 moves."""
+    report = state_stats(4, 0)
+    expected = {
+        "n": 4,
+        "delta": 0,
+        "seed": None,
+        "relaxation_count": 20,
+        "state_counts": [1, 3, 5, 5, 4],
+        "decision_counts": [3, 5, 7, 5],
+        "wall_clock_s": None,
+        "wpl": None,
+        "state_set_bound": 10,
+        "decision_set_bound": 20,
+        "theorem1_ok": True,
+        "theorem2_ok": True,
+        "policy_bytes": 16,
+    }
+    obj = report.to_obj()
+    assert list(obj.items()) == list(expected.items())
+    assert report_to_csv_row(report) == "4,0,,20,5,7,,"
+
+
 def test_csv_row_shape():
     report = state_stats(6, 1)
     row = report_to_csv_row(report)

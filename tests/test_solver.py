@@ -784,13 +784,19 @@ def test_solution_reader_checks_levels():
     tree's shape is refused, not scored: with gap 2 moved to level 0 the
     levels would give a wpl of 11 for a tree whose wpl is 12. Nor is one
     whose decisions are not its tree's key levels: the decisions (1, 0) of
-    beta = (1, 5) with the tree of beta = (5, 1), whose levels are (0, 1)."""
+    beta = (1, 5) with the tree of beta = (5, 1), whose levels are (0, 1).
+    Nor is an h_max of 1 or -3, neither of which holds level 1, nor a
+    negative h_max for no keys."""
     zero = (Fraction(0),) * 3
     obj = solve(ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=zero), 0).to_obj()
     swapped = solve(ProblemInstance(beta=(Fraction(5), Fraction(1)), alpha=zero), 0).to_obj()
     assert (obj["decisions"], swapped["decisions"]) == ([1, 0], [0, 1])
     with pytest.raises(InstanceError, match="not the key levels"):
         solution_from_obj(dict(obj, tree=swapped["tree"]))
+    empty = solve(ProblemInstance(beta=(), alpha=(Fraction(1),)), 0).to_obj()
+    for bad in (dict(obj, h_max=1), dict(obj, h_max=-3), dict(empty, h_max=-1)):
+        with pytest.raises(InstanceError, match="'h_max'"):
+            solution_from_obj(bad)
     inst = ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=(1, 1, 1))
     obj = json.loads(json.dumps(solve(inst, 0).to_obj()))
     assert obj["wpl"] == "12"

@@ -262,24 +262,33 @@ def weighted_path_length(root: Node, inst: ProblemInstance, *, weights=None) -> 
     integer weights of inst.integer_weights(), or over `weights` when a
     caller that already holds that triple passes it.
 
-    The in-order walk must read gap 0, key 1, gap 1, ..., key n, gap n;
-    any other labelling raises InstanceError."""
+    The in-order walk, from an explicit stack, must read gap 0, key 1,
+    gap 1, ..., key n, gap n; any other labelling raises InstanceError,
+    which names the in-order position of the first difference."""
     d, alpha, beta = inst.integer_weights() if weights is None else weights
     n = inst.n
-    total = 0
-    i = 0  # in-order position: gap j sits at 2j, key j+1 at 2j+1
-    for nd in inorder(root):
+    total = i = 0  # in-order node i: gap i/2 when i is even, key (i+1)/2 when odd
+    stack = []  # the keys whose left subtree is being read
+    node = root
+    while True:
+        while type(node) is Internal:
+            stack.append(node)
+            node = node.left
         j = i >> 1
-        if i & 1 and isinstance(nd, Internal) and nd.key == j + 1 <= n:
-            total += beta[j] * (nd.level + 1)
-        elif not i & 1 and isinstance(nd, External) and nd.gap == j <= n:
-            total += alpha[j] * nd.level
-        else:
+        if type(node) is not External or not node.gap == j <= n:
             break
+        total += alpha[j] * node.level
         i += 1
-    else:
-        if i == 2 * n + 1:
-            return Fraction(total, d)
+        if not stack:
+            if i == 2 * n + 1:
+                return Fraction(total, d)
+            break
+        node = stack.pop()
+        if not node.key == j + 1 <= n:
+            break
+        total += beta[j] * (node.level + 1)
+        i += 1
+        node = node.right
     raise InstanceError(
         f"tree does not read gap 0, key 1, ..., key {n}, gap {n} in order "
         f"(first difference at in-order node {i})"
@@ -407,7 +416,7 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
     """
     if len(ds) != n:
         raise InfeasibleDecisionError(f"need {n} decisions, got {len(ds)}")
-    s = 0
+    s = prev = 0  # prev: the level of key stage-1, states.precdec(s)
     stack = []
     for stage, a in enumerate(ds.levels, start=1):
         if not states.is_feasible(s, a):
@@ -418,15 +427,16 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
             )
         # keys deeper than a leave the rightmost path: with the gap they
         # form the left subtree of key `stage`
-        node = External(gap=stage - 1, level=1 + max(states.precdec(s), a))
+        node = External(stage - 1, 1 + max(prev, a))
         while stack and stack[-1].level > a:
             stack[-1].right = node
             node = stack.pop()
-        key = Internal(key=stage, level=a, left=node, right=None)
+        key = Internal(stage, a, node, None)
         if stack:
             stack[-1].right = key
         stack.append(key)
         s = (s & ((1 << a) - 1)) | (1 << a)  # states.transition, checked above
+        prev = a
     if stack and not states.is_terminal_valid(s):
         raise InfeasibleDecisionError(
             f"final state {states.state_to_bits(s, ds.h_max)} is not a valid "

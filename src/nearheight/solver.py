@@ -10,8 +10,9 @@ the code that keeps it lives:
 - _KernelTables: the move layout and each move's pair cost, which only
   _kernel_tables builds;
 - _stages: one stage's relaxation and the blocks of pair costs;
-- _backward: the policy over the states below 2^(h-1), and the kept rows;
-- _walk: the one move of every other state;
+- _backward: the policy, the packed low byte of each state below 2^(h-1),
+  and the kept rows;
+- _walk: the level in each policy byte, and the one move of every other state;
 - _thin_margins: the certificate of a floored pass;
 - solve(): the height bound, the refusals and the cost check.
 
@@ -334,14 +335,17 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, keep_rows: bool = False
     slot included, from which _thin_margins reads the candidates of stage
     nu; None without. Every other state has at most one feasible level,
     which _walk computes from the state, so the policy is n x 2^(h_max-1).
-    A dead V_1(0) raises InfeasibleHeightError.
+    An int64 pass stores the low byte of each packed best, the level in its
+    low _LEVEL_BITS bits and value bits above, which _walk masks out; Python
+    ints do not fit int8, so the object pass stores the level alone. A dead
+    V_1(0) raises InfeasibleHeightError.
     """
     n = len(beta)
     half = 1 << (h_max - 1)
     policy = np.empty((n, half), np.int8)
     rows = np.empty((n, (1 << h_max) + 1), dtype) if keep_rows else None
     for nu, v, best in _stages(alpha, beta, h_max, dtype, dead):
-        np.bitwise_and(best[:half], _LEVEL_MASK, out=policy[nu - 1], casting="unsafe")
+        policy[nu - 1] = best[:half] if dtype is np.int64 else best[:half] & _LEVEL_MASK
         if keep_rows:
             rows[nu - 1] = v
     value = int(best[0]) >> _LEVEL_BITS
@@ -355,17 +359,18 @@ def _walk(policies):
     they are taken in.
 
     The policy of _backward covers the states below 2^(h_max-1), h_max
-    read from its width. A state s at or above has no level above its top
-    set bit h_max-1, so its one move, where its value is finite, is its
-    shallow level q-1, q the lowest bit of the run of set bits ending at
-    h_max-1: the top set bit of (2^h_max - 1) ^ s."""
+    read from its width; a state's level is the low _LEVEL_BITS bits of its
+    byte, whatever the bits above hold. A state s at or above has no level
+    above its top set bit h_max-1, so its one move, where its value is
+    finite, is its shallow level q-1, q the lowest bit of the run of set
+    bits ending at h_max-1: the top set bit of (2^h_max - 1) ^ s."""
     half = policies.shape[1]
     full = 2 * half - 1
     levels, visited = [], []
     s = 0
     for nu in range(len(policies)):
         visited.append(s)
-        a = policies.item(nu, s) if s < half else (full ^ s).bit_length() - 1
+        a = policies.item(nu, s) & _LEVEL_MASK if s < half else (full ^ s).bit_length() - 1
         levels.append(a)
         s = (s & ((1 << a) - 1)) | (1 << a)
     return levels, visited

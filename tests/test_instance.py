@@ -207,6 +207,39 @@ def test_wpl_rejects_mislabelled_keys(keys):
         weighted_path_length(tree(*keys), inst)
 
 
+def test_wpl_names_the_first_difference():
+    """Trees that leave the order gap 0, key 1, gap 1, key 2, gap 2 (in-order
+    nodes 0..4) are refused with InstanceError naming the first node that
+    differs: a missing last gap (node 4), an extra key on the right spine
+    (node 5, key 3 of 2) and a gap in place of key 2 (node 3)."""
+    inst = ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=(0, 0, 0))
+
+    def tree(last):
+        return Internal(1, 0, External(0, 1), Internal(2, 1, External(1, 2), last))
+
+    assert weighted_path_length(tree(External(2, 2)), inst) == 11
+    extra = Internal(3, 2, External(2, 3), External(3, 3))
+    gap_for_key = Internal(1, 0, External(0, 1), External(1, 1))
+    for root, node in ((tree(None), 4), (tree(extra), 5), (gap_for_key, 3)):
+        with pytest.raises(InstanceError, match=rf"first difference at in-order node {node}\)"):
+            weighted_path_length(root, inst)
+
+
+def test_wpl_takes_deep_trees():
+    """A left spine of 5000 keys, far deeper than Python's recursion limit:
+    key i sits at level n-i, gap 0 at level n and gap j >= 1 at n-j+1."""
+    n = 5000
+    root = External(0, n)
+    for i in range(1, n + 1):
+        root = Internal(i, n - i, root, External(i, n - i + 1))
+    beta = tuple(Fraction(i, 7) for i in range(1, n + 1))
+    alpha = tuple(Fraction(j + 1, 3) for j in range(n + 1))
+    inst = ProblemInstance(beta=beta, alpha=alpha)
+    # key i weighs (n-i) + 1 and gap i, its right child, n-i+1
+    want = alpha[0] * n + sum((b + a) * k for b, a, k in zip(beta, alpha[1:], range(n, 0, -1)))
+    assert weighted_path_length(root, inst) == want
+
+
 def test_tree_height():
     assert tree_height(golden_tree()) == 3
     single = build_tree_from_decisions(DecisionSequence(levels=(0,), h_max=1), 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -26,7 +27,7 @@ from nearheight import (
 )
 from nearheight import solver
 from nearheight.oracles import knuth_unrestricted
-from nearheight.states import feasible_decisions, transition
+from nearheight.states import feasible_decisions, policy_bytes, transition
 from nearheight.solver import _kernel_pass, solution_from_obj
 
 
@@ -668,6 +669,60 @@ def test_walk_matches_reference_through_the_upper_half():
     assert min(widths) <= 8 and max(widths) > solver._FUSED_LEVELS
 
 
+def test_policy_bytes_hold_the_level_in_their_low_bits(monkeypatch):
+    """Each pass of _kernel_pass stores an int8 policy of policy_bytes(n, h)
+    bytes whose low _LEVEL_BITS bits, at every reachable state below
+    2^(h-1) with a finite value, are the level of the reference pass on the
+    integer weights the pass ran on: exact int64, floored and object passes,
+    at widths on both sides of _FUSED_LEVELS. The int64 bytes keep value
+    bits above the level; _walk masks them out, so setting bits 5-7 of every
+    byte, which makes every byte negative, changes none of its levels and
+    states."""
+    real = solver._backward
+    passes = []
+
+    def spy(alpha, beta, h_max, dtype, dead, keep_rows=False):
+        out = real(alpha, beta, h_max, dtype, dead, keep_rows)
+        passes.append((alpha, beta, h_max, out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "_backward", spy)
+    uniform = [(generate_random_instance(n, 9), delta) for n, delta in ((20, 0), (40, 4))]
+    zipf = [(generate_random_instance(n, 9, "zipf"), delta) for n, delta in ((48, 1), (60, 3))]
+    kinds = []
+    for thin, cases in ((False, uniform + zipf), (True, zipf)):
+        if thin:
+            _mark_every_margin_thin(monkeypatch)
+        for inst, delta in cases:
+            h_max = h_min(inst.n) + delta
+            path = _kernel_pass(inst.integer_weights(), h_max)[3]
+            # an "object" path reruns after a floored pass
+            first = "int64" if path == "int64" else "int64-floored"
+            kinds += [(first, h_max)] + ([(path, h_max)] if path == "object" else [])
+    assert len(kinds) == len(passes)
+    assert {path for path, _ in kinds} == {"int64", "int64-floored", "object"}
+    for path in ("int64", "int64-floored", "object"):
+        widths = [h for p, h in kinds if p == path]
+        assert min(widths) <= solver._FUSED_LEVELS < max(widths), path
+    value_bits = False
+    for (path, _), (alpha, beta, h_max, policy) in zip(kinds, passes):
+        n, half = len(beta), 1 << (h_max - 1)
+        assert policy.dtype == np.int8 and policy.nbytes == policy_bytes(n, h_max)
+        ref = backward_pass(
+            ProblemInstance(beta=tuple(map(Fraction, beta)), alpha=tuple(map(Fraction, alpha))),
+            h_max,
+        )
+        for nu, table in enumerate(ref.policies):
+            want = {s: a for s, a in table.items() if s < half}
+            assert {s: policy[nu, s] & solver._LEVEL_MASK for s in want} == want, (path, nu)
+        value_bits |= path != "object" and bool((policy.view(np.uint8) > solver._LEVEL_MASK).any())
+        walked = solver._walk(policy)
+        high = policy.view(np.uint8)
+        high |= 0xE0
+        assert (policy < 0).all() and solver._walk(policy) == walked, path
+    assert value_bits
+
+
 def test_cached_tables_stay_within_ten_bytes_per_state():
     """The arrays cached for a width, the kernel's move table and
     constants, take at most 10 bytes per state plus a fixed allowance, and
@@ -877,3 +932,149 @@ def test_dead_states_are_retained(golden_instance):
             assert set(tables.policies[nu - 1]) == {
                 s for s, v in tables.values[nu - 1].items() if v != inf
             }
+
+
+# bigint-zipf's (n, delta) shapes in perfbench/workloads.py
+_ZIPF_SHAPES = [
+    (96, 0), (96, 1), (96, 2), (112, 1), (128, 0), (128, 1), (128, 2),
+    (160, 0), (160, 1), (192, 0), (192, 1), (224, 0), (256, 0),
+]
+
+
+def _pinned_cases():
+    """(name, instance, delta) of the solves whose outputs PINNED records:
+    every bigint-zipf shape, 40 small shapes spaced like small-mixed's
+    n (delta 0..3, a quarter zero-alpha) and one wide uniform solve, and
+    the mirrored tie fixtures of test_exact_ties_take_the_exact_path."""
+    for i, (n, delta) in enumerate(_ZIPF_SHAPES):
+        yield f"zipf n={n} d={delta}", generate_random_instance(n, 1000 + i, "zipf"), delta
+    for j in range(40):
+        n = round(1 + 79 * (j / 39) ** 3)
+        delta = j % 4 if n <= 48 else j % 3
+        zero_alpha = j % 4 == 1
+        inst = generate_random_instance(n, 2000 + j, zero_alpha=zero_alpha)
+        yield f"uniform seed={2000 + j} n={n} d={delta} za={zero_alpha:d}", inst, delta
+    yield "uniform n=800 d=3", generate_random_instance(800, 3000), 3
+    for d in (2**61 - 1, 2**89 - 1):
+        for n in (6, 7, 30, 31, 254, 255):
+            for delta in range(3):
+                yield f"mirrored n={n} 2^{d.bit_length()}-1 d={delta}", _mirrored(n, d), delta
+
+
+def test_solve_outputs_are_pinned(monkeypatch):
+    """solve() takes the kernel path, and returns the cost and decisions,
+    that PINNED records for every case of _pinned_cases: each digest is the
+    first 16 hex digits of the sha256 of perfbench's digest text
+    "cost|levels". The cases cover all three kernel paths."""
+    real = solver._kernel_pass
+    paths = []
+
+    def spy(weights, h_max):
+        out = real(weights, h_max)
+        paths.append(out[3])
+        return out
+
+    monkeypatch.setattr(solver, "_kernel_pass", spy)
+    got = {}
+    for name, inst, delta in _pinned_cases():
+        sol = solve(inst, delta)
+        text = f"{sol.cost}|{','.join(map(str, sol.decisions.levels))}"
+        got[name] = (paths.pop(), hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert got == PINNED
+    assert {path for path, _ in PINNED.values()} == {"int64", "int64-floored", "object"}
+
+
+# (path, digest) of each case of _pinned_cases. A change that keeps
+# solve()'s outputs leaves this table as it is.
+PINNED = {
+    "zipf n=96 d=0": ("int64-floored", "d8cf29576c532a9e"),
+    "zipf n=96 d=1": ("int64-floored", "845f280cf0972074"),
+    "zipf n=96 d=2": ("int64-floored", "a299beeade2e4e3c"),
+    "zipf n=112 d=1": ("int64-floored", "458b0acb8e22be83"),
+    "zipf n=128 d=0": ("int64-floored", "3df6d1d78fbafe66"),
+    "zipf n=128 d=1": ("int64-floored", "d9c72b78867ade66"),
+    "zipf n=128 d=2": ("int64-floored", "eb154d1e714e35fb"),
+    "zipf n=160 d=0": ("int64-floored", "fe4df87bc044d195"),
+    "zipf n=160 d=1": ("int64-floored", "a1811e7fc65e9ead"),
+    "zipf n=192 d=0": ("int64-floored", "e1da128bb34c1f73"),
+    "zipf n=192 d=1": ("int64-floored", "75071d93ebcabde0"),
+    "zipf n=224 d=0": ("int64-floored", "f736f602eb289f10"),
+    "zipf n=256 d=0": ("int64-floored", "ff45ce7d0c1a23cc"),
+    "uniform seed=2000 n=1 d=0 za=0": ("int64", "bbc0924be89647ad"),
+    "uniform seed=2001 n=1 d=1 za=1": ("int64", "309740135f85c6f5"),
+    "uniform seed=2002 n=1 d=2 za=0": ("int64", "3657aa24cb763054"),
+    "uniform seed=2003 n=1 d=3 za=0": ("int64", "30746a4a83b052c4"),
+    "uniform seed=2004 n=1 d=0 za=0": ("int64", "aa6a1f0ffb4b2d36"),
+    "uniform seed=2005 n=1 d=1 za=1": ("int64", "44875944ebe2b096"),
+    "uniform seed=2006 n=1 d=2 za=0": ("int64", "27b069f1ecd764f7"),
+    "uniform seed=2007 n=1 d=3 za=0": ("int64", "c4481b6c16aec2e2"),
+    "uniform seed=2008 n=2 d=0 za=0": ("int64", "541558c40d01f560"),
+    "uniform seed=2009 n=2 d=1 za=1": ("int64", "ccfd3a0b14fbb682"),
+    "uniform seed=2010 n=2 d=2 za=0": ("int64", "af3045ca888d441c"),
+    "uniform seed=2011 n=3 d=3 za=0": ("int64", "d1307bfa94e36b6f"),
+    "uniform seed=2012 n=3 d=0 za=0": ("int64", "ae7080615252f7cb"),
+    "uniform seed=2013 n=4 d=1 za=1": ("int64", "e0679ffaacf6ac23"),
+    "uniform seed=2014 n=5 d=2 za=0": ("int64", "b24e3f0801378362"),
+    "uniform seed=2015 n=5 d=3 za=0": ("int64", "5f8af4a4e1639709"),
+    "uniform seed=2016 n=6 d=0 za=0": ("int64", "6dbf4504a6b419b8"),
+    "uniform seed=2017 n=8 d=1 za=1": ("int64", "9ecbdd8dc3803a60"),
+    "uniform seed=2018 n=9 d=2 za=0": ("int64", "1ccbd82c5b19c330"),
+    "uniform seed=2019 n=10 d=3 za=0": ("int64", "76b7a45b523ecb93"),
+    "uniform seed=2020 n=12 d=0 za=0": ("int64", "91cc616e188a799c"),
+    "uniform seed=2021 n=13 d=1 za=1": ("int64", "f4913557b581c693"),
+    "uniform seed=2022 n=15 d=2 za=0": ("int64", "57cb3067b58c5627"),
+    "uniform seed=2023 n=17 d=3 za=0": ("int64", "d45f895cd35e072e"),
+    "uniform seed=2024 n=19 d=0 za=0": ("int64", "872b3d9ade6ce69d"),
+    "uniform seed=2025 n=22 d=1 za=1": ("int64", "3465723002bd2523"),
+    "uniform seed=2026 n=24 d=2 za=0": ("int64", "19d5e04ef70fd985"),
+    "uniform seed=2027 n=27 d=3 za=0": ("int64", "a479300a8017ed4c"),
+    "uniform seed=2028 n=30 d=0 za=0": ("int64", "d4dfae803d8dec47"),
+    "uniform seed=2029 n=33 d=1 za=1": ("int64", "d90f46c7d578935b"),
+    "uniform seed=2030 n=37 d=2 za=0": ("int64", "4963ca56b5678796"),
+    "uniform seed=2031 n=41 d=3 za=0": ("int64", "75fa0d3d6caec5df"),
+    "uniform seed=2032 n=45 d=0 za=0": ("int64", "81e6dd162474e5f6"),
+    "uniform seed=2033 n=49 d=0 za=1": ("int64", "1d4d7a53f0a0f2c4"),
+    "uniform seed=2034 n=53 d=1 za=0": ("int64", "6fc74c78e093fd18"),
+    "uniform seed=2035 n=58 d=2 za=0": ("int64", "ae94c73876ca3dc8"),
+    "uniform seed=2036 n=63 d=0 za=0": ("int64", "1c0ee345bb8ed083"),
+    "uniform seed=2037 n=68 d=1 za=1": ("int64", "2bf5a28fa46c5251"),
+    "uniform seed=2038 n=74 d=2 za=0": ("int64", "f42082c77f613c80"),
+    "uniform seed=2039 n=80 d=0 za=0": ("int64", "c26d6cccb0d35302"),
+    "uniform n=800 d=3": ("int64", "9150dfed26519817"),
+    "mirrored n=6 2^61-1 d=0": ("object", "c2d4368e411cb498"),
+    "mirrored n=6 2^61-1 d=1": ("object", "c0eb64e1cf51d9df"),
+    "mirrored n=6 2^61-1 d=2": ("object", "c0eb64e1cf51d9df"),
+    "mirrored n=7 2^61-1 d=0": ("int64-floored", "ec0b64c9f466d799"),
+    "mirrored n=7 2^61-1 d=1": ("int64-floored", "718f12a1d51c6532"),
+    "mirrored n=7 2^61-1 d=2": ("int64-floored", "718f12a1d51c6532"),
+    "mirrored n=30 2^61-1 d=0": ("object", "5115f5d96b6bb2f6"),
+    "mirrored n=30 2^61-1 d=1": ("object", "c641f8d5f78219f8"),
+    "mirrored n=30 2^61-1 d=2": ("object", "a5307347635b1794"),
+    "mirrored n=31 2^61-1 d=0": ("int64-floored", "17e080ab8277471d"),
+    "mirrored n=31 2^61-1 d=1": ("int64-floored", "5af23e2becfcd92f"),
+    "mirrored n=31 2^61-1 d=2": ("int64-floored", "71f0c25b6cfb8eef"),
+    "mirrored n=254 2^61-1 d=0": ("object", "873e6b6bbd3d9575"),
+    "mirrored n=254 2^61-1 d=1": ("object", "e8043341f344774f"),
+    "mirrored n=254 2^61-1 d=2": ("object", "2e19e7d1e246846f"),
+    "mirrored n=255 2^61-1 d=0": ("int64-floored", "ceb6b316b79ffc4e"),
+    "mirrored n=255 2^61-1 d=1": ("int64-floored", "8cbc0b57cc5e2f97"),
+    "mirrored n=255 2^61-1 d=2": ("int64-floored", "ee2a9f5a9492dbba"),
+    "mirrored n=6 2^89-1 d=0": ("object", "6c0ea8464aacd316"),
+    "mirrored n=6 2^89-1 d=1": ("object", "1533001eec9b0aae"),
+    "mirrored n=6 2^89-1 d=2": ("object", "1533001eec9b0aae"),
+    "mirrored n=7 2^89-1 d=0": ("int64-floored", "7c2249b668e6778b"),
+    "mirrored n=7 2^89-1 d=1": ("int64-floored", "f793f053a440fa6f"),
+    "mirrored n=7 2^89-1 d=2": ("int64-floored", "f793f053a440fa6f"),
+    "mirrored n=30 2^89-1 d=0": ("object", "4bf9d08af17ca447"),
+    "mirrored n=30 2^89-1 d=1": ("object", "ac1a6608f8446a6c"),
+    "mirrored n=30 2^89-1 d=2": ("object", "3d21a9de73906ddf"),
+    "mirrored n=31 2^89-1 d=0": ("int64-floored", "5365a7f8bd15b4ef"),
+    "mirrored n=31 2^89-1 d=1": ("int64-floored", "e1fd13e0c4e7cc19"),
+    "mirrored n=31 2^89-1 d=2": ("int64-floored", "4ac5e9bd5ef70849"),
+    "mirrored n=254 2^89-1 d=0": ("object", "8954782426deb265"),
+    "mirrored n=254 2^89-1 d=1": ("object", "a54d2e4f1b89e332"),
+    "mirrored n=254 2^89-1 d=2": ("object", "95049a6e947d8059"),
+    "mirrored n=255 2^89-1 d=0": ("int64-floored", "a838b447717d2668"),
+    "mirrored n=255 2^89-1 d=1": ("int64-floored", "d369a29e91e30fc8"),
+    "mirrored n=255 2^89-1 d=2": ("int64-floored", "a49d892f1ee3aea8"),
+}

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Integral
 from typing import Iterator, Optional, Union
 
 from . import states
@@ -84,13 +85,15 @@ class ProblemInstance:
     keys: Optional[tuple] = None
 
     def __post_init__(self):
-        """Convert the weights to Fractions; a weight that does not convert
-        raises InstanceError."""
+        """Convert the weights to Fractions; a weight that does not convert,
+        or keys given as one str or bytes, raise InstanceError."""
         for name in ("beta", "alpha"):
             try:
                 object.__setattr__(self, name, tuple(Fraction(w) for w in getattr(self, name)))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
                 raise InstanceError(f"{name} must hold rational weights: {e}") from e
+        if isinstance(self.keys, (str, bytes)):
+            raise InstanceError("keys must be a sequence of strings, not one string")
         if self.keys is not None:
             object.__setattr__(self, "keys", tuple(self.keys))
 
@@ -385,7 +388,8 @@ def tree_to_text(root: Node, keys: Optional[tuple] = None) -> str:
 
 @dataclass(frozen=True)
 class DecisionSequence:
-    """Per-key level choices; entry nu-1 is the level of key k_nu."""
+    """Per-key level choices; entry nu-1 is the level of key k_nu, a Python
+    or NumPy integer (not a bool) in 0..h_max-1."""
 
     levels: tuple
     h_max: int
@@ -393,9 +397,11 @@ class DecisionSequence:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         for i, a in enumerate(self.levels):
-            if not 0 <= a < self.h_max:
+            # a plain int skips the type test; bool is Integral, np.bool_ is not
+            integer = type(a) is int or type(a) is not bool and isinstance(a, Integral)
+            if not (integer and 0 <= a < self.h_max):
                 raise InfeasibleDecisionError(
-                    f"decision {a} at stage {i + 1} outside 0..{self.h_max - 1}",
+                    f"decision {a} at stage {i + 1} is not an integer in 0..{self.h_max - 1}",
                     stage=i + 1,
                 )
 

@@ -11,7 +11,7 @@ the code that keeps it lives:
   _kernel_tables builds;
 - _stages: one stage's relaxation and the blocks of pair costs;
 - _backward: the policy, the packed low byte of each state below 2^(h-1),
-  and the kept rows;
+  and the rows of the lowest stages that fit;
 - _walk: the level in each policy byte, and the one move of every other state;
 - _thin_margins: the certificate of a floored pass;
 - solve(): the height bound, the refusals and the cost check.
@@ -67,9 +67,8 @@ _FUSED_LEVELS = 8
 # _stages builds the pair costs of this many consecutive stages at once,
 # which bounds its pair-cost rows at _PAIR_BLOCK * (h+1)^2 values.
 _PAIR_BLOCK = 64
-# On the floored path, _backward keeps the next values of every stage when
-# their n(2^h+1) int64 values fit in this many bytes, and _thin_margins
-# reads its candidates from them instead of from a second pass.
+# A floored pass keeps the next values of its lowest stages that fit in this
+# many bytes, and _thin_margins recomputes only the stages above them.
 _ROW_BUDGET = 8 << 20
 
 
@@ -260,8 +259,8 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     )
 
 
-def _stages(alpha, beta, h_max: int, dtype, dead: int):
-    """Packed backward pass over all 2^h_max states, stage n down to 1.
+def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
+    """Packed backward pass over all 2^h_max states, stage n down to nu_lo.
 
     Yields (nu, v, best) once per stage nu, after its relaxation: v holds
     the packed next values V_{nu+1} with the level bits cleared, and best
@@ -270,7 +269,8 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int):
     states without a shallow level. The kernel evaluates every state of the
     width, reachable or not, which leaves the values of reachable states
     unchanged. Values at or above `dead`, and the dead slot, stand for
-    infinity.
+    infinity. A range that ends at nu_lo > 1 leaves stages nu_lo-1..1 out:
+    _thin_margins recomputes only the stages above the rows _backward kept.
 
     Each move is priced from its stage's row of pair costs: at the first
     stage of each block of _PAIR_BLOCK stages, one matrix product of the
@@ -308,7 +308,7 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int):
     # sum, allocates no iteration buffers. It makes a new array per block:
     # np.matmul into an object out= array never releases the values it
     # overwrites, which leaked every block but the last of an "object" pass.
-    for nu in range(n, 0, -1):
+    for nu in range(n, nu_lo - 1, -1):
         row = (nu - 1) % _PAIR_BLOCK
         if nu == n or row == _PAIR_BLOCK - 1:
             first = nu - 1 - row
@@ -326,15 +326,15 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int):
         np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
 
 
-def _backward(alpha, beta, h_max: int, dtype, dead: int, keep_rows: bool = False):
+def _backward(alpha, beta, h_max: int, dtype, dead: int, kept: int = 0):
     """The pass of _stages, and what it keeps of its stages.
 
     Returns V_1(0), the int8 policy of every stage over the states below
-    2^(h_max-1), and, with keep_rows, the next values v of every stage as
-    an n x (2^h_max + 1) array: row nu-1 is V_{nu+1} << _LEVEL_BITS, dead
+    2^(h_max-1), and the next values v of the lowest `kept` stages as a
+    kept x (2^h_max + 1) array: row nu-1 is V_{nu+1} << _LEVEL_BITS, dead
     slot included, from which _thin_margins reads the candidates of stage
-    nu; None without. Every other state has at most one feasible level,
-    which _walk computes from the state, so the policy is n x 2^(h_max-1).
+    nu <= kept. Every other state has at most one feasible level, which
+    _walk computes from the state, so the policy is n x 2^(h_max-1).
     An int64 pass stores the low byte of each packed best, the level in its
     low _LEVEL_BITS bits and value bits above, which _walk masks out; Python
     ints do not fit int8, so the object pass stores the level alone. A dead
@@ -343,10 +343,10 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, keep_rows: bool = False
     n = len(beta)
     half = 1 << (h_max - 1)
     policy = np.empty((n, half), np.int8)
-    rows = np.empty((n, (1 << h_max) + 1), dtype) if keep_rows else None
+    rows = np.empty((kept, (1 << h_max) + 1), dtype)
     for nu, v, best in _stages(alpha, beta, h_max, dtype, dead):
         policy[nu - 1] = best[:half] if dtype is np.int64 else best[:half] & _LEVEL_MASK
-        if keep_rows:
+        if nu <= kept:
             rows[nu - 1] = v
     value = int(best[0]) >> _LEVEL_BITS
     if value >= dead:
@@ -382,13 +382,14 @@ def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
 
     The candidates of stage nu read V_{nu+1} at the successor
     transition(s, a) of its visited state s under every level a, the dead
-    slot 2^h_max where a is not feasible in s. They are gathered from rows,
-    the next values that _backward kept of the same pass, or, when rows is
-    None, by a second pass. With p the top set bit of s, the packed
-    candidate of a is that value plus (1+max(p, a))*alpha + (a+1)*beta and
-    level a, and the least one is the walked decision's. Entry nu-1 is True
-    when another candidate is at most (E_nu+1) << _LEVEL_BITS above it,
-    with E_nu = (h_max+1)(2(n-nu)+3) the rounding bound of stage nu.
+    slot 2^h_max where a is not feasible in s. Stages nu <= k read rows, the
+    next values _backward kept of the lowest k stages of the same pass; the
+    stages above k, if any, one recompute that _stages ends at stage k+1.
+    With p the top set bit of s, the packed candidate of a is that value
+    plus (1+max(p, a))*alpha + (a+1)*beta and level a, and the least one is
+    the walked decision's. Entry nu-1 is True when another candidate is at
+    most (E_nu+1) << _LEVEL_BITS above it, with E_nu = (h_max+1)(2(n-nu)+3)
+    the rounding bound of stage nu.
     """
     n = len(beta)
     s = np.array(visited)[:, None]
@@ -396,12 +397,11 @@ def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
     p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
     bit = 1 << a
     succ = np.where(st.is_feasible(s, a), (s & (bit - 1)) | bit, 1 << h_max)
-    if rows is None:
-        cand = np.empty(succ.shape, np.int64)
-        for nu, v, _ in _stages(alpha, beta, h_max, np.int64, dead):
-            v.take(succ[nu - 1], out=cand[nu - 1], mode="clip")
-    else:
-        cand = np.take_along_axis(rows, succ, axis=1)
+    k = len(rows)
+    cand = np.empty(succ.shape, np.int64)
+    cand[:k] = np.take_along_axis(rows, succ[:k], axis=1)
+    for nu, v, _ in _stages(alpha, beta, h_max, np.int64, dead, k + 1) if k < n else ():
+        v.take(succ[nu - 1], out=cand[nu - 1], mode="clip")
     alpha_nu, beta_nu = np.array(alpha[:n])[:, None], np.array(beta)[:, None]
     cand += (((1 + np.maximum(p, a)) * alpha_nu + (a + 1) * beta_nu) << _LEVEL_BITS) + a
     cand -= cand.min(axis=1, keepdims=True)
@@ -429,11 +429,11 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     every other one by more than E_nu is the unique exact argmin, which no
     tie rule decides, so it is the exact decision. _thin_margins checks
     that at every walked state; a dead candidate, E_1 + 2 above every
-    finite value, never fails it. When the n(2^h_max + 1) int64 next values
-    of the pass fit in _ROW_BUDGET bytes, the pass keeps them and the check
-    reads its candidates from them, one pass in all; otherwise a second
-    pass on the floored weights gathers them. On a thinner margin the pass
-    reruns on the exact weights in Python ints, the "object" path.
+    finite value, never fails it. The floored pass keeps the next values of
+    its lowest k stages, k = n or as many as fit in _ROW_BUDGET bytes, and
+    the check recomputes only stages n..k+1, none when k = n. On a thinner
+    margin the pass reruns on the exact weights in Python ints, the
+    "object" path, which keeps no rows.
 
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
@@ -449,8 +449,8 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     if shift:
         floored = [w >> shift for w in alpha], [w >> shift for w in beta]
     dead = (h_max + 1) * (total >> shift) + slack
-    keep_rows = shift > 0 and n * 8 * ((1 << h_max) + 1) <= _ROW_BUDGET
-    value, policies, rows = _backward(*floored, h_max, np.int64, dead, keep_rows)
+    kept = min(n, _ROW_BUDGET // (8 * ((1 << h_max) + 1))) if shift else 0
+    value, policies, rows = _backward(*floored, h_max, np.int64, dead, kept)
     levels, visited = _walk(policies)
     del policies  # before a certificate pass allocates its own tables
     path = "int64-floored" if shift else "int64"

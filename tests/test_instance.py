@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +26,14 @@ from nearheight import (
     tree_to_dot,
     weighted_path_length,
 )
-from nearheight.instance import height_bound, inorder, key_levels, tree_from_obj, tree_to_obj
+from nearheight.instance import (
+    count_keys,
+    height_bound,
+    inorder,
+    key_levels,
+    tree_from_obj,
+    tree_to_obj,
+)
 
 
 def test_h_min_examples():
@@ -54,7 +63,8 @@ def test_parse_weight(text, value):
 
 
 @pytest.mark.parametrize(
-    "text", ["3/0", "-1", "1/2/3", "1.5", "", "a", " 1", "1/-2", "3\n", "\u0663/4", "\uff11/2"]
+    "text",
+    ["3/0", "-1", "1/2/3", "1.5", "", "a", " 1", "1/-2", "3\n", "\u0663/4", "\uff11/2", 3, None],
 )
 def test_parse_weight_rejects(text):
     with pytest.raises(InstanceError):
@@ -126,6 +136,35 @@ def test_instance_refuses_unconvertible_weights(weight):
 def test_validate_negative_weight():
     inst = ProblemInstance(beta=(Fraction(-1, 2),), alpha=(0, 0))
     assert any("negative" in p for p in inst.validate())
+
+
+@pytest.mark.parametrize(
+    "beta, alpha, keys, problem",
+    [
+        ((1,), (0, Fraction(-1, 3)), None, "alpha[1] = -1/3 is negative"),
+        ((1, 2), (0, 0, 0), ("a",), "keys length must be n = 2, got 1"),
+        ((1,), (0, 0), ("a", "b"), "keys length must be n = 1, got 2"),
+    ],
+)
+def test_validate_names_the_problem(beta, alpha, keys, problem):
+    inst = ProblemInstance(beta=beta, alpha=alpha, keys=keys)
+    assert inst.validate() == [problem]
+    with pytest.raises(InstanceError, match=re.escape(problem)):
+        inst.require_valid()
+
+
+@pytest.mark.parametrize("keys", ["ab", b"ab", ""])
+def test_instance_refuses_one_string_as_keys(keys):
+    """A str or bytes is one label, not a sequence of them: split into its
+    characters, "ab" would pass validate() as the keys ('a', 'b')."""
+    with pytest.raises(InstanceError, match="not one string"):
+        ProblemInstance(beta=(1, 1), alpha=(0, 0, 0), keys=keys)
+
+
+@pytest.mark.parametrize("c", [0, -1, Fraction(-1, 2)])
+def test_scaled_refuses_nonpositive_factor(golden_instance, c):
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        golden_instance.scaled(c)
 
 
 @pytest.mark.parametrize(
@@ -284,6 +323,45 @@ def test_build_tree_errors_at_any_width(h_max):
     assert exc.value.stage == 3
 
 
+@pytest.mark.parametrize("levels, n", [((0,), 2), ((1, 0), 1), ((), 1)])
+def test_build_tree_needs_one_decision_per_key(levels, n):
+    with pytest.raises(InfeasibleDecisionError, match=f"need {n} decisions, got {len(levels)}"):
+        build_tree_from_decisions(DecisionSequence(levels=levels, h_max=2), n)
+
+
+@pytest.mark.parametrize(
+    "levels, stage",
+    [
+        ((-1,), 1),
+        ((0, 2), 2),
+        ((1, 0, 5), 3),
+        ((1.0, 0), 1),
+        ((0, 0.5), 2),
+        ((True,), 1),
+        ((0, np.bool_(False)), 2),
+        ((Fraction(1),), 1),
+        (("0",), 1),
+    ],
+)
+def test_decision_sequence_refuses_bad_levels(levels, stage):
+    """A level outside 0..h_max-1, a bool, or a level that is not a Python
+    or NumPy integer is refused at its stage; the float 1.0 would otherwise
+    reach build_tree_from_decisions and fail there with a bare TypeError."""
+    with pytest.raises(InfeasibleDecisionError, match=f"at stage {stage} is not an integer") as e:
+        DecisionSequence(levels=levels, h_max=2)
+    assert e.value.stage == stage
+
+
+def test_decision_sequence_takes_numpy_integers():
+    ds = DecisionSequence(levels=(np.int64(1), np.int8(0), np.uint8(1)), h_max=2)
+    assert key_levels(build_tree_from_decisions(ds, 3)) == (1, 0, 1)
+
+
+def test_count_keys():
+    assert count_keys(golden_tree()) == 4
+    assert count_keys(External(gap=0, level=0)) == 0
+
+
 def test_build_tree_in_order_sequence():
     kinds = [
         (type(nd).__name__, nd.key if isinstance(nd, Internal) else nd.gap)
@@ -359,6 +437,14 @@ def test_generator_zero_alpha():
     assert all(b > 0 for b in inst.beta)
 
 
+@pytest.mark.parametrize(
+    "n, dist, message", [(-1, "uniform", "nonnegative"), (3, "normal", "unknown distribution")]
+)
+def test_generator_refuses_bad_arguments(n, dist, message):
+    with pytest.raises(ValueError, match=message):
+        generate_random_instance(n, 1, dist=dist)
+
+
 def test_generator_uniform_range():
     inst = generate_random_instance(50, seed=9)
     for w in inst.beta + inst.alpha:
@@ -378,6 +464,20 @@ def test_instance_json_rejects_unknown_field(golden_instance):
         ProblemInstance.from_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "text, message", [("{", "invalid JSON"), ("[]", "JSON object"), ('"1"', "JSON object")]
+)
+def test_loads_refuses_what_is_not_a_json_object(text, message):
+    with pytest.raises(InstanceError, match=message):
+        ProblemInstance.loads(text)
+
+
+def test_instance_json_round_trip_keeps_keys():
+    inst = ProblemInstance(beta=(1, 2), alpha=(0, 1, 0), keys=("a", "b"))
+    assert json.loads(inst.dumps())["keys"] == ["a", "b"]
+    assert ProblemInstance.loads(inst.dumps()) == inst
+
+
 def test_instance_json_requires_arrays():
     with pytest.raises(InstanceError):
         ProblemInstance.loads('{"beta": ["1"]}')
@@ -394,6 +494,20 @@ def test_tree_json_round_trip():
     obj = tree_to_obj(root)
     again = tree_from_obj(json.loads(json.dumps(obj)))
     assert tree_to_obj(again) == obj
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "must be a JSON object"),
+        ({"level": 0}, "needs 'key' or 'gap'"),
+        ({"key": 1, "level": 0, "left": 0, "right": {"gap": 1, "level": 1}}, "JSON object"),
+        ({"key": 1, "level": 0, "left": {"gap": 0, "level": 1}, "right": {"level": 1}}, "'gap'"),
+    ],
+)
+def test_tree_reader_refuses_malformed_nodes(obj, message):
+    with pytest.raises(InstanceError, match=message):
+        tree_from_obj(obj)
 
 
 def test_tree_reader_takes_deep_trees():

@@ -38,6 +38,12 @@ def test_enumeration_cap():
         list(enumerate_trees(MAX_ENUM_KEYS + 1))
 
 
+def test_brute_force_cap():
+    n = MAX_ENUM_KEYS + 1
+    with pytest.raises(ValueError, match=f"capped at n = {MAX_ENUM_KEYS}"):
+        brute_force_optimum(generate_random_instance(n, 1), h_min(n) + 1)
+
+
 def test_enumeration_order_is_root_major():
     roots = [s[0] for s in enumerate_trees(3)]
     assert roots == sorted(roots)

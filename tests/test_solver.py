@@ -304,16 +304,25 @@ def test_exact_ties_take_the_exact_path(n, d):
 
 
 def _record_passes(monkeypatch):
-    """Record the dtype of every pass that _stages starts."""
+    """Record every pass that _stages starts as (dtype, stages relaxed)."""
     real = solver._stages
     passes = []
 
-    def recorded(alpha, beta, h_max, dtype, dead):
-        passes.append(dtype)
-        return real(alpha, beta, h_max, dtype, dead)
+    def recorded(alpha, beta, h_max, dtype, dead, nu_lo=1):
+        passes.append((dtype, 0))
+        for stage in real(alpha, beta, h_max, dtype, dead, nu_lo):
+            passes[-1] = (dtype, passes[-1][1] + 1)
+            yield stage
 
     monkeypatch.setattr(solver, "_stages", recorded)
     return passes
+
+
+def _row_counts(n):
+    """The counts of kept rows on both sides of each _PAIR_BLOCK boundary
+    below n, with none, one, all but one and all n."""
+    block = solver._PAIR_BLOCK
+    return sorted({k for k in (0, 1, block - 1, block, block + 1, n - 1, n) if 0 <= k <= n})
 
 
 @pytest.mark.parametrize(
@@ -322,13 +331,14 @@ def _record_passes(monkeypatch):
     + [(n, d) for d in (2**61 - 1, 2**89 - 1) for n in (30, 31, 254, 255)],
 )
 def test_pass_one_rows_match_the_second_pass(monkeypatch, n, d):
-    """With _ROW_BUDGET patched to the n(2^h+1) int64 next values of the
-    floored pass, the pass keeps them and _thin_margins reads them: one
-    int64 pass in all. One byte less keeps none, and a second int64 pass
-    gathers the candidates. Both give the same _kernel_pass result and the
-    same flags. The zipf n (d None) lie on both sides of _PAIR_BLOCK
-    boundaries; the mirrored fixtures of even n have a thin walked stage,
-    which a row read one stage off would lose or move."""
+    """With _ROW_BUDGET patched to k rows of 2^h+1 int64 next values, the
+    floored pass keeps the rows of stages 1..k, which equal the next values
+    of a pass over every stage, and _thin_margins recomputes stages n..k+1
+    in one more int64 pass, none when k = n. For k = 0, 1, 63, 64, 65, n-1
+    and n, the _kernel_pass result and the flags equal those of k = 0,
+    which recomputes every stage. The zipf n (d None) lie on both sides of
+    _PAIR_BLOCK boundaries; the mirrored fixtures of even n have a thin
+    walked stage, which a row read one stage off would lose or move."""
     inst = generate_random_instance(n, n, dist="zipf") if d is None else _mirrored(n, d)
     weights = inst.integer_weights()
     real = solver._thin_margins
@@ -336,59 +346,68 @@ def test_pass_one_rows_match_the_second_pass(monkeypatch, n, d):
 
     def spy(alpha, beta, h_max, dead, visited, rows):
         flags = real(alpha, beta, h_max, dead, visited, rows)
-        seen.append((rows is not None, flags.tolist()))
+        seen.append((alpha, beta, dead, rows.copy(), flags.tolist()))
         return flags
 
     monkeypatch.setattr(solver, "_thin_margins", spy)
     passes = _record_passes(monkeypatch)
     for delta in range(3):
         h_max = min(h_min(n) + delta, n)
-        all_rows = n * 8 * ((1 << h_max) + 1)
-        runs = []
-        for budget, kept, int64_passes in ((all_rows, True, 1), (all_rows - 1, False, 2)):
-            monkeypatch.setattr(solver, "_ROW_BUDGET", budget)
+        row_bytes = 8 * ((1 << h_max) + 1)
+        runs, kept = [], []
+        for k in _row_counts(n):
+            monkeypatch.setattr(solver, "_ROW_BUDGET", k * row_bytes)
             passes.clear()
             result = _kernel_pass(weights, h_max)
-            assert passes[:int64_passes] == [np.int64] * int64_passes, delta
-            assert passes[int64_passes:] == ([object] if result[3] == "object" else []), delta
-            rows, flags = seen.pop()
-            assert rows == kept, delta
+            want = [(np.int64, n)] + ([(np.int64, n - k)] if k < n else [])
+            want += [(object, n)] if result[3] == "object" else []
+            assert passes == want, (delta, k)
+            alpha, beta, dead, rows, flags = seen.pop()
+            assert rows.shape == (k, (1 << h_max) + 1) and rows.nbytes <= k * row_bytes
             runs.append((result, flags))
-        assert runs[0] == runs[1], delta
+            kept.append(rows.tolist())
+        stages = solver._stages(alpha, beta, h_max, np.int64, dead)
+        full = [v.tolist() for _, v, _ in stages][::-1]  # row nu-1 is V_{nu+1}
+        assert all(rows == full[: len(rows)] for rows in kept), delta
+        assert all(run == runs[0] for run in runs), delta
         assert runs[0][0][3] != "int64", delta
         if d is not None:
             assert any(runs[0][1]) == (n % 2 == 0), delta
 
 
-def test_rows_kept_only_when_every_stage_fits(monkeypatch):
+def test_rows_kept_for_the_lowest_stages_that_fit(monkeypatch):
     """A floored shape whose n(2^h+1) next values exceed _ROW_BUDGET keeps
-    no rows and certifies with a second pass; at a budget that holds them
-    it keeps all n rows, exactly that many bytes, and decides the same in
-    one pass. The exact paths keep no rows: "int64", and the "object"
+    the rows of the lowest k stages that fit, at most _ROW_BUDGET bytes,
+    and recomputes only the n - k stages above them; it decides as with no
+    rows kept (every stage recomputed) and as with all n kept (no
+    recompute). The exact paths keep no rows: "int64", and the "object"
     rerun after a floored pass that kept them."""
     real = solver._backward
     kept = []
 
     def spy(*args):
         out = real(*args)
-        kept.append(0 if out[2] is None else out[2].nbytes)
+        kept.append(out[2].nbytes)
         return out
 
     monkeypatch.setattr(solver, "_backward", spy)
     passes = _record_passes(monkeypatch)
     n = 1100
     h_max = h_min(n)
+    row_bytes = 8 * ((1 << h_max) + 1)
     weights = generate_random_instance(n, 5, dist="zipf").integer_weights()
-    all_rows = n * 8 * ((1 << h_max) + 1)
-    assert all_rows > solver._ROW_BUDGET
-    second_pass = _kernel_pass(weights, h_max)
-    assert second_pass[3] == "int64-floored"
-    assert kept.pop() == 0 and passes == [np.int64, np.int64]
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_ROW_BUDGET", all_rows)
-        passes.clear()
-        assert _kernel_pass(weights, h_max) == second_pass
-    assert kept.pop() == all_rows and passes == [np.int64]
+    assert n * row_bytes > solver._ROW_BUDGET
+    k = solver._ROW_BUDGET // row_bytes
+    split = _kernel_pass(weights, h_max)
+    assert split[3] == "int64-floored"
+    assert kept.pop() == k * row_bytes <= solver._ROW_BUDGET
+    assert passes == [(np.int64, n), (np.int64, n - k)]
+    for budget, rows, want in ((0, 0, [(np.int64, n)] * 2), (n * row_bytes, n, [(np.int64, n)])):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_ROW_BUDGET", budget)
+            passes.clear()
+            assert _kernel_pass(weights, h_max) == split
+        assert kept.pop() == rows * row_bytes and passes == want
 
     n, h_max = 60, h_min(60)  # rows that fit
     assert _kernel_pass(generate_random_instance(n, 5).integer_weights(), h_max)[3] == "int64"
@@ -497,13 +516,14 @@ def _scalar_stage(v_next, alpha, beta, h_max):
 
 def test_thin_flags_match_scalar_margins():
     """_thin_margins after a plain pass and its walk, on exact int64
-    weights, given the rows the pass kept or, at random, none: row nu-1 is
-    V_{nu+1} over all states, dead where the scalar pass has no value; at
-    every walked state the walked level is the smallest-level argmin, and
-    the margin is thin exactly where the runner-up candidate is at most
-    (E_nu+1) << 5 above the best, both taken over the packed finite
-    candidates. Both verdicts occur, and so does an instance whose thin
-    margins all lie off the walked path, which certifies. Weights in
+    weights, given the rows the pass kept of a random number of its lowest
+    stages, none and all n included, the stages above them recomputed: row
+    nu-1 is V_{nu+1} over all states, dead where the scalar pass has no
+    value; at every walked state the walked level is the smallest-level
+    argmin, and the margin is thin exactly where the runner-up candidate
+    is at most (E_nu+1) << 5 above the best, both taken over the packed
+    finite candidates. Both verdicts occur, and so does an instance whose
+    thin margins all lie off the walked path, which certifies. Weights in
     {0, 1, 2} times E_nu + 1 of some stage put walked margins on the bound
     itself. Widths run past _FUSED_LEVELS, so segments, shallow moves and
     deep blocks all count."""
@@ -522,9 +542,9 @@ def test_thin_flags_match_scalar_margins():
             _, alpha, beta = inst.integer_weights()
             total = sum(alpha) + sum(beta)
             dead = (h_max + 1) * total + (h_max + 1) * (2 * n + 1) + 2
-            stored = rng.random() < 0.5  # candidates from pass-1 rows, else a second pass
-            value, policies, rows = solver._backward(alpha, beta, h_max, np.int64, dead, stored)
-            assert rows is None if not stored else rows.shape == (n, (1 << h_max) + 1)
+            kept = rng.choice((0, n, rng.randint(1, n)))  # rows of stages 1..kept
+            value, policies, rows = solver._backward(alpha, beta, h_max, np.int64, dead, kept)
+            assert rows.shape == (kept, (1 << h_max) + 1)
             levels, visited = solver._walk(policies)
             got = solver._thin_margins(alpha, beta, h_max, dead, visited, rows)
             v_next = [None] * (1 << h_max)
@@ -532,7 +552,7 @@ def test_thin_flags_match_scalar_margins():
                 v_next[(1 << k) - 1] = k * alpha[n]
             thin_anywhere = False
             for nu in range(n, 0, -1):
-                if stored:  # row nu-1 is V_{nu+1}, dead slot included
+                if nu <= kept:  # row nu-1 is V_{nu+1}, dead slot included
                     row = [c >> solver._LEVEL_BITS for c in rows[nu - 1].tolist()]
                     assert [None if c >= dead else c for c in row] == v_next + [None], nu
                 margin = ((h_max + 1) * (2 * (n - nu) + 3) + 1) << solver._LEVEL_BITS
@@ -681,8 +701,8 @@ def test_policy_bytes_hold_the_level_in_their_low_bits(monkeypatch):
     real = solver._backward
     passes = []
 
-    def spy(alpha, beta, h_max, dtype, dead, keep_rows=False):
-        out = real(alpha, beta, h_max, dtype, dead, keep_rows)
+    def spy(alpha, beta, h_max, dtype, dead, kept=0):
+        out = real(alpha, beta, h_max, dtype, dead, kept)
         passes.append((alpha, beta, h_max, out[1]))
         return out
 

@@ -111,6 +111,12 @@ def test_stage_sets_preconditions():
         StageSets(20, 3)  # below h_min(20) = 5
 
 
+@pytest.mark.parametrize("nu", [-1, 0, 6])
+def test_stage_sets_refuse_stages_outside_range(nu):
+    with pytest.raises(ValueError, match=r"outside 1\.\.5"):
+        StageSets(4, 3).states(nu)
+
+
 states_and_widths = st.integers(min_value=1, max_value=12).flatmap(
     lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))
 )

@@ -8,6 +8,7 @@ bound of solve() and bench, are here too.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -85,11 +86,15 @@ class ProblemInstance:
     keys: Optional[tuple] = None
 
     def __post_init__(self):
-        """Convert the weights to Fractions; a weight that does not convert,
-        or keys given as one str or bytes, raise InstanceError."""
+        """Convert the weights to Fractions, keeping a weight that is exactly
+        a Fraction as it is; a weight that does not convert, or keys given
+        as one str or bytes, raise InstanceError."""
         for name in ("beta", "alpha"):
             try:
-                object.__setattr__(self, name, tuple(Fraction(w) for w in getattr(self, name)))
+                weights = tuple(
+                    w if type(w) is Fraction else Fraction(w) for w in getattr(self, name)
+                )
+                object.__setattr__(self, name, weights)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
                 raise InstanceError(f"{name} must hold rational weights: {e}") from e
         if isinstance(self.keys, (str, bytes)):
@@ -460,6 +465,12 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
 # Instance generation
 
 
+@functools.cache
+def _thousandths() -> tuple:
+    """Fraction(k, 1000) at index k, for k in 0..1000, built on first use."""
+    return tuple(Fraction(k, 1000) for k in range(1001))
+
+
 def generate_random_instance(
     n: int,
     seed: int,
@@ -472,14 +483,19 @@ def generate_random_instance(
     zipf: keys get weights 1/rank over a random permutation of ranks 1..n,
     gaps likewise with ranks 1..n+1; integer_weights puts them over their
     common denominator lcm(1..n+1).
+    The dumps() of the result is a fixed function of (n, seed, dist,
+    zero_alpha). An n that is not an int (a bool included) or is negative
+    raises ValueError.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = random.Random(f"{n}:{seed}:{dist}:{zero_alpha}")
     if dist == "uniform":
-        denom = 1000
-        beta = tuple(Fraction(rng.randint(1, 1000), denom) for _ in range(n))
-        alpha = tuple(Fraction(rng.randint(1, 1000), denom) for _ in range(n + 1))
+        weight = _thousandths()
+        beta = tuple(weight[rng.randint(1, 1000)] for _ in range(n))
+        alpha = tuple(weight[rng.randint(1, 1000)] for _ in range(n + 1))
     elif dist == "zipf":
         key_ranks = list(range(1, n + 1))
         gap_ranks = list(range(1, n + 2))
@@ -490,5 +506,5 @@ def generate_random_instance(
     else:
         raise ValueError(f"unknown distribution {dist!r}")
     if zero_alpha:
-        alpha = tuple(Fraction(0) for _ in range(n + 1))
+        alpha = (Fraction(0),) * (n + 1)
     return ProblemInstance(beta=beta, alpha=alpha)

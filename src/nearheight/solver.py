@@ -298,6 +298,10 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
     move_cost = np.empty(len(pair), dtype=dtype)
     gathered, best, seg_moves = moves[low:], moves[:size], moves[size:]
     low_best = best[:low]
+    # the mask that clears the level bits of best into v, as a scalar of the
+    # pass's dtype (a Python int on an "object" pass): NumPy 2 converts a
+    # Python-int operand of an int64 array on every call
+    live_v, value_bits = v[:size], np.dtype(dtype).type(~_LEVEL_MASK)
     # deep level a >= A takes state s < 2^a to s + 2^a at pair (a+1, a+1)
     deep = [
         (v[1 << a : 2 << a], best[: 1 << a], move_cost[: 1 << a], (a + 1) * (h_max + 2))
@@ -323,7 +327,7 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
             np.add(succ_v, costs[deep_pair], out=c)
             np.minimum(b, c, out=b)
         yield nu, v, best
-        np.bitwise_and(best, ~_LEVEL_MASK, out=v[:size])
+        np.bitwise_and(best, value_bits, out=live_v)
 
 
 def _backward(alpha, beta, h_max: int, dtype, dead: int, kept: int = 0):

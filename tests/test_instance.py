@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -438,11 +440,77 @@ def test_generator_zero_alpha():
 
 
 @pytest.mark.parametrize(
-    "n, dist, message", [(-1, "uniform", "nonnegative"), (3, "normal", "unknown distribution")]
+    "n, dist, message",
+    [
+        (-1, "uniform", "nonnegative"),
+        (3, "normal", "unknown distribution"),
+        (True, "uniform", "n must be an integer"),
+        (3.0, "uniform", "n must be an integer"),
+    ],
 )
 def test_generator_refuses_bad_arguments(n, dist, message):
     with pytest.raises(ValueError, match=message):
         generate_random_instance(n, 1, dist=dist)
+
+
+# sha256 of dumps() per (dist, zero_alpha, n, seed), pinned so that a change
+# to how the generator draws or builds its weights shows as a changed digest
+GENERATOR_DIGESTS = {
+    ("uniform", False, 0, 1): "983dc1791327c723c5da811ce785de08675aa2b68057181556adc8a7cceed30e",
+    ("uniform", False, 0, 2): "3fc0e61bff4b3e76a5da97e5316309c2aa2a76c32ba77472eb14246159ed08de",
+    ("uniform", False, 1, 1): "1235a9666840e56213ad837e75f31043de965160374e09b2c599a02f62b11277",
+    ("uniform", False, 1, 2): "b8ee5a3316d13135f6016ae3e2d99994b61781baea10923e4d334dbc4615bce1",
+    ("uniform", False, 12, 1): "b8b8aa752fb9811f29600b7ed1e56f8b362ec3144df98da8a113d31248ef95b7",
+    ("uniform", False, 12, 2): "3aecbb44e2cd5c23a99b783b51b1b991620fcce739dfde40a26159b44037be93",
+    ("uniform", False, 2000, 1): "b91121831de1e4e032c2cbefd5a63e5aea1cdac97cb88b69b65d5767b5f23c59",
+    ("uniform", False, 2000, 2): "75ae4483b394d3aabf38d4f3d8295afab7be510a803301a256fb1ef730937eb7",
+    ("zipf", False, 1, 1): "df2e08c682f1ccc622598599ccdcf1cd510b8644471805a8a9d5de6a75443c78",
+    ("zipf", False, 1, 2): "df2e08c682f1ccc622598599ccdcf1cd510b8644471805a8a9d5de6a75443c78",
+    ("zipf", False, 50, 1): "90b67bc247efeceda1bc1feb3661eec659793d718b3d6f5aa5f24e1aa2bdb5b1",
+    ("zipf", False, 50, 2): "15003ef1d22a1a387c768646455b5175e728bcf4d5029acb35dfe1524f1295db",
+    ("zipf", False, 256, 1): "c0d6290435c7280e04cb6dab3b9ab6c844b42d2a0c09dd308a6e279367c682be",
+    ("zipf", False, 256, 2): "3b1e69eabb0b037381f4f4cad2d252b43f0ac4b5fb0827e75b46352bfe2dddce",
+    ("uniform", True, 12, 1): "62f8046e26b2820a29c36467f76bfc0d28f352203b2215c32d13bfd59f5e5401",
+    ("uniform", True, 12, 2): "94a20692e117c9bebc44453dad90faf5f66808a21cef01b3b4a565ff4fd605bf",
+    ("uniform", True, 1200, 1): "bd4d1c7c35e26c7151e09554e54b791cbfb8cddbd4a2aed69a775084aa3918e7",
+    ("uniform", True, 1200, 2): "97b6bb9b351967646db28c1a680402fe29f418c50906b44800bf61ac7f61f783",
+}
+
+
+@pytest.mark.parametrize("dist, zero_alpha, n, seed", sorted(GENERATOR_DIGESTS))
+def test_generator_bytes_are_pinned(dist, zero_alpha, n, seed):
+    text = generate_random_instance(n, seed, dist=dist, zero_alpha=zero_alpha).dumps()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GENERATOR_DIGESTS[dist, zero_alpha, n, seed]
+
+
+@pytest.mark.parametrize(
+    "dist, zero_alpha", [("uniform", False), ("zipf", False), ("uniform", True)]
+)
+def test_generated_instances_round_trip(dist, zero_alpha):
+    inst = generate_random_instance(30, 4, dist=dist, zero_alpha=zero_alpha)
+    assert ProblemInstance.loads(inst.dumps()) == inst
+
+
+def test_instance_keeps_fraction_weights():
+    w, z = Fraction(3, 4), Fraction(0)
+    inst = ProblemInstance(beta=(w,), alpha=(z, w))
+    assert inst.beta[0] is w
+    assert inst.alpha[0] is z and inst.alpha[1] is w
+
+
+class _Ratio(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "weight", [3, "3/4", 0.75, Decimal("0.75"), _Ratio(3, 4)], ids=lambda w: type(w).__name__
+)
+def test_instance_converts_other_weights(weight):
+    inst = ProblemInstance(beta=(weight,), alpha=(weight, 0))
+    for w in (inst.beta[0], inst.alpha[0]):
+        assert type(w) is Fraction
+        assert w == Fraction(weight)
 
 
 def test_generator_uniform_range():

@@ -1,9 +1,10 @@
 """Problem model: exact rational weights, instances, trees, weighted path length.
 
-A tree is rebuilt from its decision sequence (the in-order key levels) by
-one replay of the decision process of the states module, and rendered as
-JSON, Graphviz DOT or text. Random instances and height_bound, the height
-bound of solve() and bench, are here too.
+A ProblemInstance is checked once, when it is made, so every instance that
+exists is valid. A tree is rebuilt from its decision sequence (the in-order
+key levels) by one replay of the decision process of the states module, and
+rendered as JSON, Graphviz DOT or text. Random instances and height_bound,
+the height bound of solve() and bench, are here too.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def _weight(w) -> Fraction:
+    if type(w) is bool:  # which Fraction would take as 0 or 1
+        raise TypeError(f"{w!r} is a bool, not a weight")
+    return Fraction(w)
+
+
 def format_weight(w: Fraction) -> str:
     """Lowest-terms literal, e.g. '25/16' or '0'."""
     if w.denominator == 1:
@@ -86,40 +93,40 @@ class ProblemInstance:
     keys: Optional[tuple] = None
 
     def __post_init__(self):
-        """Convert the weights to Fractions, keeping a weight that is exactly
-        a Fraction as it is; a weight that does not convert, or keys given
-        as one str or bytes, raise InstanceError."""
+        """Convert the weights to Fractions, keeping each exact Fraction as it
+        is. Weights or keys given as one str or bytes, a bool or unconvertible
+        weight, or any problem that validate() lists raise InstanceError."""
+        for name, items in (("beta", "weights"), ("alpha", "weights"), ("keys", "strings")):
+            if isinstance(getattr(self, name), (str, bytes)):
+                raise InstanceError(f"{name} must be a sequence of {items}, not one string")
         for name in ("beta", "alpha"):
             try:
                 weights = tuple(
-                    w if type(w) is Fraction else Fraction(w) for w in getattr(self, name)
+                    w if type(w) is Fraction else _weight(w) for w in getattr(self, name)
                 )
                 object.__setattr__(self, name, weights)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
                 raise InstanceError(f"{name} must hold rational weights: {e}") from e
-        if isinstance(self.keys, (str, bytes)):
-            raise InstanceError("keys must be a sequence of strings, not one string")
         if self.keys is not None:
             object.__setattr__(self, "keys", tuple(self.keys))
+        self.require_valid()
 
     @property
     def n(self) -> int:
         return len(self.beta)
 
     def validate(self) -> list:
-        """Return a list of violation messages; empty iff the instance is valid."""
+        """The violation messages; construction raises them, so this is []."""
         problems = []
         if len(self.alpha) != len(self.beta) + 1:
             problems.append(
                 f"alpha length must be n+1 = {len(self.beta) + 1}, got {len(self.alpha)}"
             )
         # the weights are Fractions, whose sign is the numerator's
-        for i, b in enumerate(self.beta):
-            if b.numerator < 0:
-                problems.append(f"beta[{i}] = {b} is negative")
-        for j, a in enumerate(self.alpha):
-            if a.numerator < 0:
-                problems.append(f"alpha[{j}] = {a} is negative")
+        for name in ("beta", "alpha"):
+            for i, w in enumerate(getattr(self, name)):
+                if w.numerator < 0:
+                    problems.append(f"{name}[{i}] = {w} is negative")
         if self.keys is not None:
             if len(self.keys) != len(self.beta):
                 problems.append(
@@ -137,6 +144,7 @@ class ProblemInstance:
         return problems
 
     def require_valid(self):
+        """Raise InstanceError with validate()'s messages; construction does."""
         problems = self.validate()
         if problems:
             raise InstanceError("; ".join(problems))
@@ -198,9 +206,7 @@ class ProblemInstance:
         keys = obj.get("keys")
         if keys is not None and not isinstance(keys, list):
             raise InstanceError("'keys' must be a JSON array")
-        inst = cls(beta=beta, alpha=alpha, keys=keys)
-        inst.require_valid()
-        return inst
+        return cls(beta=beta, alpha=alpha, keys=keys)
 
     def dumps(self) -> str:
         return json.dumps(self.to_obj(), indent=2)
@@ -218,7 +224,7 @@ class ProblemInstance:
 # Trees
 
 
-@dataclass
+@dataclass(slots=True)
 class Internal:
     key: int  # 1..n
     level: int
@@ -226,7 +232,7 @@ class Internal:
     right: "Node"
 
 
-@dataclass
+@dataclass(slots=True)
 class External:
     gap: int  # 0..n
     level: int
@@ -471,6 +477,15 @@ def _thousandths() -> tuple:
     return tuple(Fraction(k, 1000) for k in range(1001))
 
 
+def _draw(rng: random.Random, dist: str, m: int) -> tuple:
+    if dist == "uniform":
+        weight = _thousandths()
+        return tuple(weight[rng.randint(1, 1000)] for _ in range(m))
+    ranks = list(range(1, m + 1))
+    rng.shuffle(ranks)
+    return tuple(Fraction(1, r) for r in ranks)
+
+
 def generate_random_instance(
     n: int,
     seed: int,
@@ -491,20 +506,10 @@ def generate_random_instance(
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = random.Random(f"{n}:{seed}:{dist}:{zero_alpha}")
-    if dist == "uniform":
-        weight = _thousandths()
-        beta = tuple(weight[rng.randint(1, 1000)] for _ in range(n))
-        alpha = tuple(weight[rng.randint(1, 1000)] for _ in range(n + 1))
-    elif dist == "zipf":
-        key_ranks = list(range(1, n + 1))
-        gap_ranks = list(range(1, n + 2))
-        rng.shuffle(key_ranks)
-        rng.shuffle(gap_ranks)
-        beta = tuple(Fraction(1, r) for r in key_ranks)
-        alpha = tuple(Fraction(1, r) for r in gap_ranks)
-    else:
+    if dist not in ("uniform", "zipf"):
         raise ValueError(f"unknown distribution {dist!r}")
-    if zero_alpha:
-        alpha = (Fraction(0),) * (n + 1)
+    rng = random.Random(f"{n}:{seed}:{dist}:{zero_alpha}")
+    beta = _draw(rng, dist, n)
+    # the gap draws come last: skipping them leaves every kept draw as it was
+    alpha = (Fraction(0),) * (n + 1) if zero_alpha else _draw(rng, dist, n + 1)
     return ProblemInstance(beta=beta, alpha=alpha)

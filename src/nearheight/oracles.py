@@ -101,7 +101,6 @@ def brute_force_optimum(inst: ProblemInstance, max_height: int) -> Solution:
     bottom-up per interval: cost(shape) = cost(left) + cost(right) + w(i,j),
     which equals the weighted path length of the materialized tree.
     """
-    inst.require_valid()
     n = inst.n
     if n > MAX_ENUM_KEYS:
         raise ValueError(f"brute force capped at n = {MAX_ENUM_KEYS}")
@@ -178,7 +177,6 @@ def shape_at_index(lo: int, hi: int, idx: int) -> TreeShape:
 def knuth_unrestricted(inst: ProblemInstance) -> Solution:
     """Unrestricted optimum via the classical interval DP, with plain cubic
     root splitting (no monotonicity speedup)."""
-    inst.require_valid()
     n = inst.n
     denom, alpha, beta = inst.integer_weights()
     w = _interval_weight_fn(alpha, beta)
@@ -217,7 +215,6 @@ def knuth_unrestricted(inst: ProblemInstance) -> Solution:
 def height_restricted_dp(inst: ProblemInstance, max_height: int) -> Solution:
     """Optimum over trees of height <= max_height via an interval-by-budget
     DP (O(L n^3) with plain root splitting)."""
-    inst.require_valid()
     n = inst.n
     if max_height < h_min(n):
         raise InfeasibleHeightError(

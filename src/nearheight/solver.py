@@ -132,7 +132,6 @@ def solution_from_obj(obj: dict) -> "Solution":
 def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:
     """Solve the Bellman equation over all reachable states, stage n down
     to 1. Dead states keep V = inf and no policy entry."""
-    inst.require_valid()
     n = inst.n
     sets = st.StageSets(n, h_max)
 
@@ -482,7 +481,6 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
     rounding bound below it, a bound that is 0 on the exact paths. The empty
     instance (bound 0) skips only the kernel.
     """
-    inst.require_valid()
     n = inst.n
     h_max = height_bound(n, delta)
     weights = inst.integer_weights()
@@ -503,7 +501,6 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
 def solve_with_max_height(inst: ProblemInstance, max_height: int) -> Solution:
     """Like solve, but with an absolute height cap instead of slack. A
     max_height that is not an int (a bool included) raises ValueError."""
-    inst.require_valid()
     if type(max_height) is not int:
         raise ValueError(f"max_height must be an integer, got {max_height!r}")
     hm = h_min(inst.n)

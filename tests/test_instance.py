@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -92,25 +91,29 @@ def test_validate_good_shape(golden_instance):
     assert golden_instance.validate() == []
 
 
+def refusal(**fields) -> str:
+    """The message of the InstanceError that construction raises on fields."""
+    with pytest.raises(InstanceError) as info:
+        ProblemInstance(**fields)
+    return str(info.value)
+
+
 def test_validate_alpha_length():
-    inst = ProblemInstance(beta=(Fraction(1), Fraction(1)), alpha=(Fraction(0), Fraction(0)))
-    problems = inst.validate()
-    assert len(problems) == 1 and "n+1" in problems[0]
+    problem = refusal(beta=(Fraction(1), Fraction(1)), alpha=(Fraction(0), Fraction(0)))
+    assert problem == "alpha length must be n+1 = 3, got 2"
 
 
 def test_validate_key_order():
-    inst = ProblemInstance(beta=(Fraction(1), Fraction(1)), alpha=(0, 0, 0), keys=("b", "a"))
-    assert any("strictly increasing" in p for p in inst.validate())
+    problem = refusal(beta=(Fraction(1), Fraction(1)), alpha=(0, 0, 0), keys=("b", "a"))
+    assert problem == "keys not strictly increasing at position 1: 'b' !< 'a'"
 
 
 @pytest.mark.parametrize("keys", [(1, 2), (1, "a"), ("a", None)])
 def test_validate_refuses_non_string_keys(keys):
-    """Keys must be strings however the instance is made: validate() lists
-    the problem, and solve() and the JSON reader refuse the instance."""
-    inst = ProblemInstance(beta=(Fraction(1), Fraction(2)), alpha=(0, 0, 0), keys=keys)
-    assert inst.validate() == ["keys must be strings"]
-    with pytest.raises(InstanceError, match="keys must be strings"):
-        solve(inst)
+    """Keys must be strings however the instance is made: construction and
+    the JSON reader refuse the instance."""
+    problem = refusal(beta=(Fraction(1), Fraction(2)), alpha=(0, 0, 0), keys=keys)
+    assert problem == "keys must be strings"
     obj = {"beta": ["1", "2"], "alpha": ["0", "0", "0"], "keys": list(keys)}
     with pytest.raises(InstanceError, match="keys must be strings"):
         ProblemInstance.from_obj(obj)
@@ -124,11 +127,13 @@ def test_height_bound_refuses_non_integer_delta(golden_instance, delta):
         solve(golden_instance, delta)
 
 
-@pytest.mark.parametrize("weight", ["1/0", "abc", float("nan"), float("inf"), None, [1]])
+@pytest.mark.parametrize(
+    "weight", ["1/0", "abc", float("nan"), float("inf"), None, [1], True, False]
+)
 def test_instance_refuses_unconvertible_weights(weight):
     """A weight that is not a rational raises InstanceError, as a key
     weight and as a gap weight, not ZeroDivisionError, ValueError,
-    OverflowError or TypeError."""
+    OverflowError or TypeError. A bool is refused too, not read as 1 or 0."""
     with pytest.raises(InstanceError, match="beta must hold rational weights"):
         ProblemInstance(beta=(weight,), alpha=(0, 0))
     with pytest.raises(InstanceError, match="alpha must hold rational weights"):
@@ -136,8 +141,7 @@ def test_instance_refuses_unconvertible_weights(weight):
 
 
 def test_validate_negative_weight():
-    inst = ProblemInstance(beta=(Fraction(-1, 2),), alpha=(0, 0))
-    assert any("negative" in p for p in inst.validate())
+    assert refusal(beta=(Fraction(-1, 2),), alpha=(0, 0)) == "beta[0] = -1/2 is negative"
 
 
 @pytest.mark.parametrize(
@@ -149,10 +153,52 @@ def test_validate_negative_weight():
     ],
 )
 def test_validate_names_the_problem(beta, alpha, keys, problem):
-    inst = ProblemInstance(beta=beta, alpha=alpha, keys=keys)
-    assert inst.validate() == [problem]
-    with pytest.raises(InstanceError, match=re.escape(problem)):
-        inst.require_valid()
+    assert refusal(beta=beta, alpha=alpha, keys=keys) == problem
+
+
+def test_construction_joins_every_problem():
+    """Construction raises every message validate() would list, in its
+    order, joined by '; '."""
+    problem = refusal(beta=(-1, 2), alpha=(0, Fraction(-1, 3)), keys=("b", "a"))
+    assert problem == (
+        "alpha length must be n+1 = 3, got 2; beta[0] = -1 is negative; "
+        "alpha[1] = -1/3 is negative; keys not strictly increasing at position 1: 'b' !< 'a'"
+    )
+
+
+@given(st.data())
+def test_construction_refuses_exactly_the_invalid_fields(data):
+    """Over random weights (negatives included), gap counts and keys
+    (unsorted, repeated, of the wrong count or not strings), construction
+    raises InstanceError exactly when the fields are invalid, and any
+    instance it returns has validate() == []."""
+    weight = st.integers(-1, 3) | st.fractions(-1, 2, max_denominator=4).map(abs)
+    beta = data.draw(st.lists(weight, max_size=4))
+    n = len(beta)
+    gaps = max(n + 1 + data.draw(st.sampled_from((0, 0, 0, -1, 1))), 0)
+    alpha = data.draw(st.lists(weight, min_size=gaps, max_size=gaps))
+    label = st.text(alphabet="abc", max_size=2)
+    keys = data.draw(
+        st.none()
+        | st.lists(label, unique=True, min_size=n, max_size=n).map(sorted)
+        | st.lists(label | st.integers(0, 3), min_size=max(n - 1, 0), max_size=n + 1)
+    )
+    valid = (
+        len(alpha) == n + 1
+        and all(w >= 0 for w in beta + alpha)
+        and (
+            keys is None
+            or len(keys) == n
+            and all(isinstance(k, str) for k in keys)
+            and all(a < b for a, b in zip(keys, keys[1:]))
+        )
+    )
+    try:
+        inst = ProblemInstance(beta=tuple(beta), alpha=tuple(alpha), keys=keys)
+    except InstanceError:
+        assert not valid
+    else:
+        assert valid and inst.validate() == []
 
 
 @pytest.mark.parametrize("keys", ["ab", b"ab", ""])
@@ -161,6 +207,19 @@ def test_instance_refuses_one_string_as_keys(keys):
     characters, "ab" would pass validate() as the keys ('a', 'b')."""
     with pytest.raises(InstanceError, match="not one string"):
         ProblemInstance(beta=(1, 1), alpha=(0, 0, 0), keys=keys)
+
+
+@pytest.mark.parametrize(
+    "beta, alpha, name",
+    [("12", "000", "beta"), (b"\x01\x02", (0, 0, 0), "beta"), ((1, 2), "000", "alpha"),
+     ((1, 2), b"\x00\x00\x00", "alpha"), ("", "0", "beta")],
+    ids=["str-beta", "bytes-beta", "str-alpha", "bytes-alpha", "empty-beta"],
+)
+def test_instance_refuses_one_string_as_weights(beta, alpha, name):
+    """A str or bytes is not a sequence of weights: split into its
+    characters or bytes, "12" would solve as the key weights (1, 2)."""
+    problem = refusal(beta=beta, alpha=alpha)
+    assert problem == f"{name} must be a sequence of weights, not one string"
 
 
 @pytest.mark.parametrize("c", [0, -1, Fraction(-1, 2)])

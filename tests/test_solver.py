@@ -26,7 +26,7 @@ from nearheight import (
     weighted_path_length,
 )
 from nearheight import solver
-from nearheight.oracles import knuth_unrestricted
+from nearheight.oracles import brute_force_optimum, height_restricted_dp, knuth_unrestricted
 from nearheight.states import feasible_decisions, policy_bytes, transition
 from nearheight.solver import _kernel_pass, solution_from_obj
 
@@ -106,11 +106,32 @@ def test_solve_two_equal_keys():
 
 
 def test_solve_rejects_invalid():
-    inst = ProblemInstance(beta=(Fraction(1),), alpha=(Fraction(0),))
-    with pytest.raises(Exception):
-        solve(inst, 0)
+    """An instance with one gap weight too few is refused where it is made,
+    so it never reaches solve(); a negative delta is refused by solve()."""
+    with pytest.raises(InstanceError, match=r"^alpha length must be n\+1 = 2, got 1$"):
+        ProblemInstance(beta=(Fraction(1),), alpha=(Fraction(0),))
     with pytest.raises(ValueError):
         solve(ProblemInstance(beta=(Fraction(1),), alpha=(0, 0)), -1)
+
+
+def test_instance_is_validated_once_where_it_is_made(monkeypatch, golden_instance):
+    """Construction runs validate() once; the solvers and the oracles take
+    the instance as valid and run it no more."""
+    calls = []
+    validate = ProblemInstance.validate
+    monkeypatch.setattr(
+        ProblemInstance, "validate", lambda inst: calls.append(inst) or validate(inst)
+    )
+    inst = ProblemInstance(beta=golden_instance.beta, alpha=golden_instance.alpha)
+    assert calls == [inst]
+    calls.clear()
+    solve(inst, 1)
+    solve_with_max_height(inst, 4)
+    backward_pass(inst, 3)
+    brute_force_optimum(inst, 3)
+    knuth_unrestricted(inst)
+    height_restricted_dp(inst, 3)
+    assert calls == []
 
 
 def test_solve_with_max_height(golden_instance):

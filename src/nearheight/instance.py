@@ -13,6 +13,7 @@ import functools
 import json
 import random
 import re
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -71,6 +72,12 @@ def json_int(value, what: str) -> int:
     return value
 
 
+# Iterable, but not an ordered sequence of weights or keys: a str or bytes
+# would be split into characters or bytes, a bytearray or memoryview read as
+# small ints, a mapping as its keys and a set in hash order.
+_NOT_A_SEQUENCE = (str, bytes, bytearray, memoryview, Mapping, Set)
+
+
 def _weight(w) -> Fraction:
     if type(w) is bool:  # which Fraction would take as 0 or 1
         raise TypeError(f"{w!r} is a bool, not a weight")
@@ -94,11 +101,14 @@ class ProblemInstance:
 
     def __post_init__(self):
         """Convert the weights to Fractions, keeping each exact Fraction as it
-        is. Weights or keys given as one str or bytes, a bool or unconvertible
-        weight, or any problem that validate() lists raise InstanceError."""
+        is. Weights or keys given as one str or bytes, a bytearray,
+        memoryview, mapping or set, a bool or unconvertible weight, or any
+        problem that validate() lists raise InstanceError."""
         for name, items in (("beta", "weights"), ("alpha", "weights"), ("keys", "strings")):
-            if isinstance(getattr(self, name), (str, bytes)):
-                raise InstanceError(f"{name} must be a sequence of {items}, not one string")
+            value = getattr(self, name)
+            if isinstance(value, _NOT_A_SEQUENCE):
+                what = "string" if isinstance(value, (str, bytes)) else type(value).__name__
+                raise InstanceError(f"{name} must be a sequence of {items}, not one {what}")
         for name in ("beta", "alpha"):
             try:
                 weights = tuple(

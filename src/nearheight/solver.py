@@ -5,11 +5,12 @@ and states.is_feasible is the one rule for which levels a state admits.
 solve() runs one NumPy kernel; each fact about it is stated once, where
 the code that keeps it lives:
 
-- _kernel_pass: the grid shift K, the "int64", "int64-floored" and
-  "object" paths, the rounding bound, and when a pass keeps its rows;
+- _kernel_pass: the grid shift K, the "int32", "int64", "int64-floored"
+  and "object" paths, the rounding bound, and when a pass keeps its rows;
 - _KernelTables: the move layout and each move's pair cost, which only
   _kernel_tables builds;
-- _stages: one stage's relaxation and the blocks of pair costs;
+- _stages: one stage's relaxation, the blocks of pair costs and the
+  gather mode;
 - _backward: the policy, the packed low byte of each state below 2^(h-1),
   and the rows of the lowest stages that fit;
 - _walk: the level in each policy byte, and the one move of every other state;
@@ -58,6 +59,9 @@ INFINITY = inf
 # minimum finds the lowest value and, among equal values, the smallest level.
 _LEVEL_BITS = 5
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
+# The largest values of the machine-integer pass dtypes, read once: np.iinfo
+# takes about 1.7 µs a call, 2% of a small solve.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # The levels below this one of the states below 2^(A-1) are relaxed in one
 # gather and one segmented minimum per stage: as blocks, they would hold at
@@ -199,9 +203,11 @@ def forward_pass(tables: StageTables) -> Tuple[CostValue, DecisionSequence]:
 # Vectorized kernel
 
 
-def _grid_bits(total: int, h_max: int, slack: int) -> int:
+def _grid_bits(total: int, h_max: int, slack: int, top: int) -> int:
     """Smallest K >= 0 for which every packed value of a pass on the weights
-    floored to multiples of 2^K fits int64.
+    floored to multiples of 2^K is at most top, the largest value of the
+    pass's dtype: _INT64_MAX, or _INT32_MAX for the "int32" test of
+    _kernel_pass.
 
     Finite values are at most bound = (h_max+1) * (total >> K), where total
     is the sum of the integer weights; the dead sentinel sits `slack` above
@@ -209,7 +215,7 @@ def _grid_bits(total: int, h_max: int, slack: int) -> int:
     packed top (2*bound + slack) << _LEVEL_BITS | _LEVEL_MASK fits exactly
     when total >> K <= cap, that is when total < (cap + 1) << K.
     """
-    cap = ((_INT64_MAX >> _LEVEL_BITS) - slack) // (2 * (h_max + 1))
+    cap = ((top >> _LEVEL_BITS) - slack) // (2 * (h_max + 1))
     return (total // (cap + 1)).bit_length()
 
 
@@ -281,6 +287,13 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
     a >= A is one contiguous block of 2^a states at pair (a+1, a+1), column
     (a+1)(h_max+2). With the mask of best into v, that is 5 + 2(h_max-A)
     NumPy calls per stage, and 6 + 2(h_max-A) with what the caller keeps.
+
+    Both gathers take mode="wrap". Their indices are in range by
+    construction, successors at most 2^h_max on the 2^h_max + 1 slots of v
+    and pair indices below (h_max+1)^2, so every mode reads the same values;
+    "raise" buffers the out= array, and "clip" clamps each index, which at
+    h_max = 13 made an int32 gather of the 8439 moves take 7.3 µs against
+    5.4 µs with wrap (int64: 7.0 against 6.7 µs).
     """
     n = len(beta)
     size = 1 << h_max
@@ -318,8 +331,8 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
             weights = np.array((alpha[first:nu], beta[first:nu], [1] * (row + 1)), dtype)
             pair_costs = weights.T @ coef
         costs = pair_costs[row]
-        v.take(kt.succ, out=gathered, mode="clip")
-        costs.take(pair, out=move_cost, mode="clip")
+        v.take(kt.succ, out=gathered, mode="wrap")
+        costs.take(pair, out=move_cost, mode="wrap")
         gathered += move_cost
         np.minimum.reduceat(seg_moves, kt.starts, out=low_best)
         for succ_v, b, c, deep_pair in deep:
@@ -338,17 +351,19 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, kept: int = 0):
     slot included, from which _thin_margins reads the candidates of stage
     nu <= kept. Every other state has at most one feasible level, which
     _walk computes from the state, so the policy is n x 2^(h_max-1).
-    An int64 pass stores the low byte of each packed best, the level in its
-    low _LEVEL_BITS bits and value bits above, which _walk masks out; Python
-    ints do not fit int8, so the object pass stores the level alone. A dead
-    V_1(0) raises InfeasibleHeightError.
+    A pass in a machine-integer dtype, int32 or int64, stores the low byte
+    of each packed best, the level in its low _LEVEL_BITS bits and value
+    bits above, which _walk masks out: one plain int8 write. Masking the
+    level out by a Python int instead made int32 passes 10-15% slower than
+    int64 ones at n = 10..80. Python ints do not fit int8, so the object
+    pass stores the level alone. A dead V_1(0) raises InfeasibleHeightError.
     """
     n = len(beta)
     half = 1 << (h_max - 1)
     policy = np.empty((n, half), np.int8)
     rows = np.empty((kept, (1 << h_max) + 1), dtype)
     for nu, v, best in _stages(alpha, beta, h_max, dtype, dead):
-        policy[nu - 1] = best[:half] if dtype is np.int64 else best[:half] & _LEVEL_MASK
+        policy[nu - 1] = best[:half] if dtype is not object else best[:half] & _LEVEL_MASK
         if nu <= kept:
             rows[nu - 1] = v
     value = int(best[0]) >> _LEVEL_BITS
@@ -404,7 +419,7 @@ def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
     cand = np.empty(succ.shape, np.int64)
     cand[:k] = np.take_along_axis(rows, succ[:k], axis=1)
     for nu, v, _ in _stages(alpha, beta, h_max, np.int64, dead, k + 1) if k < n else ():
-        v.take(succ[nu - 1], out=cand[nu - 1], mode="clip")
+        v.take(succ[nu - 1], out=cand[nu - 1], mode="wrap")
     alpha_nu, beta_nu = np.array(alpha[:n])[:, None], np.array(beta)[:, None]
     cand += (((1 + np.maximum(p, a)) * alpha_nu + (a + 1) * beta_nu) << _LEVEL_BITS) + a
     cand -= cand.min(axis=1, keepdims=True)
@@ -420,11 +435,14 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     [cost, cost + error], and error is 0 unless the path is "int64-floored".
     Values are integers over the common denominator d.
 
-    One int64 pass runs on the weights floored to multiples of 2^K, with K
-    from _grid_bits, and the walk follows its policy. K = 0 when every
-    packed exact value fits int64, with the dead sentinel 1 above every
-    finite value: the pass is exact, the "int64" path. Otherwise K >= 1 is
-    the smallest grid on which the floored values fit with dead E_1 + 2
+    One pass runs on the weights floored to multiples of 2^K, with K from
+    _grid_bits, and the walk follows its policy. K = 0 when every packed
+    exact value fits int64, with the dead sentinel 1 above every finite
+    value: the pass is exact. It runs in int32, the "int32" path, when
+    every packed value fits int32 too, as for uniform weights up to
+    n = 2500 or so, which halves the bytes each relaxation moves; else in
+    int64, the "int64" path. When the exact values do not fit int64, K >= 1
+    is the smallest grid on which the floored values fit with dead E_1 + 2
     above them, the "int64-floored" path. In units of 2^K each floored
     weight is low by less than 1 and every coefficient is at most h+1, so
     V_nu is low by less than E_nu = (h+1)(2(n-nu)+3) and each stage-nu
@@ -434,9 +452,11 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     that at every walked state; a dead candidate, E_1 + 2 above every
     finite value, never fails it. The floored pass keeps the next values of
     its lowest k stages, k = n or as many as fit in _ROW_BUDGET bytes, and
-    the check recomputes only stages n..k+1, none when k = n. On a thinner
-    margin the pass reruns on the exact weights in Python ints, the
-    "object" path, which keeps no rows.
+    the check recomputes only stages n..k+1, none when k = n. The floored
+    pass and its check stay int64: a grid that fits int32 would be 2^32
+    times coarser, and its rounding bound would leave most walked margins
+    thin. On a thinner margin the pass reruns on the exact weights in
+    Python ints, the "object" path, which keeps no rows.
 
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
@@ -445,18 +465,21 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     n = len(beta)
     st.check_policy_size(n, h_max)
     total = sum(alpha) + sum(beta)
-    error = 0 if _grid_bits(total, h_max, 1) == 0 else (h_max + 1) * (2 * n + 1)  # E_1
+    exact = _grid_bits(total, h_max, 1, _INT64_MAX) == 0
+    error = 0 if exact else (h_max + 1) * (2 * n + 1)  # E_1
     slack = error + 2 if error else 1
-    shift = _grid_bits(total, h_max, slack)
+    shift = _grid_bits(total, h_max, slack, _INT64_MAX)
     floored = (alpha, beta)
     if shift:
         floored = [w >> shift for w in alpha], [w >> shift for w in beta]
     dead = (h_max + 1) * (total >> shift) + slack
     kept = min(n, _ROW_BUDGET // (8 * ((1 << h_max) + 1))) if shift else 0
-    value, policies, rows = _backward(*floored, h_max, np.int64, dead, kept)
+    dtype, path = np.int64, "int64-floored" if shift else "int64"
+    if _grid_bits(total, h_max, 1, _INT32_MAX) == 0:
+        dtype, path = np.int32, "int32"
+    value, policies, rows = _backward(*floored, h_max, dtype, dead, kept)
     levels, visited = _walk(policies)
     del policies  # before a certificate pass allocates its own tables
-    path = "int64-floored" if shift else "int64"
     if shift and _thin_margins(*floored, h_max, dead, visited, rows).any():
         del rows  # the exact rerun keeps nothing of the floored pass
         value, policies, _ = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1)

@@ -201,25 +201,48 @@ def test_construction_refuses_exactly_the_invalid_fields(data):
         assert valid and inst.validate() == []
 
 
-@pytest.mark.parametrize("keys", ["ab", b"ab", ""])
+@pytest.mark.parametrize(
+    "keys", ["ab", b"ab", "", bytearray(b"ab"), {"a": 1, "b": 2}, {"a", "b"}, frozenset("ab")]
+)
 def test_instance_refuses_one_string_as_keys(keys):
     """A str or bytes is one label, not a sequence of them: split into its
-    characters, "ab" would pass validate() as the keys ('a', 'b')."""
-    with pytest.raises(InstanceError, match="not one string"):
+    characters, "ab" would pass validate() as the keys ('a', 'b'). Nor are
+    a bytearray, a dict (read as its keys) or a set (in hash order) a
+    sequence of keys."""
+    what = "string" if isinstance(keys, (str, bytes)) else type(keys).__name__
+    with pytest.raises(InstanceError, match=f"strings, not one {what}$"):
         ProblemInstance(beta=(1, 1), alpha=(0, 0, 0), keys=keys)
 
 
 @pytest.mark.parametrize(
-    "beta, alpha, name",
-    [("12", "000", "beta"), (b"\x01\x02", (0, 0, 0), "beta"), ((1, 2), "000", "alpha"),
-     ((1, 2), b"\x00\x00\x00", "alpha"), ("", "0", "beta")],
-    ids=["str-beta", "bytes-beta", "str-alpha", "bytes-alpha", "empty-beta"],
+    "beta, alpha, name, what",
+    [("12", "000", "beta", "string"), (b"\x01\x02", (0, 0, 0), "beta", "string"),
+     ((1, 2), "000", "alpha", "string"), ((1, 2), b"\x00\x00\x00", "alpha", "string"),
+     ("", "0", "beta", "string"), (bytearray(b"\x01\x02"), (0, 0, 0), "beta", "bytearray"),
+     ((1, 2), memoryview(b"\x00\x00\x00"), "alpha", "memoryview"),
+     ({1: 0, 2: 0}, (0, 0, 0), "beta", "dict"), ((1, 2), {0, 1, 2}, "alpha", "set"),
+     ((1, 2), frozenset((0, 1, 2)), "alpha", "frozenset")],
+    ids=["str-beta", "bytes-beta", "str-alpha", "bytes-alpha", "empty-beta", "bytearray-beta",
+         "memoryview-alpha", "dict-beta", "set-alpha", "frozenset-alpha"],
 )
-def test_instance_refuses_one_string_as_weights(beta, alpha, name):
+def test_instance_refuses_one_string_as_weights(beta, alpha, name, what):
     """A str or bytes is not a sequence of weights: split into its
-    characters or bytes, "12" would solve as the key weights (1, 2)."""
+    characters or bytes, "12" would solve as the key weights (1, 2). A
+    bytearray or memoryview would read as small ints (bytearray(b"\x01\x02")
+    solved to cost 4), a dict as its keys and a set in hash order."""
     problem = refusal(beta=beta, alpha=alpha)
-    assert problem == f"{name} must be a sequence of weights, not one string"
+    assert problem == f"{name} must be a sequence of weights, not one {what}"
+
+
+def test_instance_reads_ordered_iterables():
+    """Lists, tuples, generators and NumPy arrays of weights and keys are
+    read in their order, to the same instance."""
+    want = ProblemInstance(beta=(1, 2), alpha=(0, 3, 0), keys=("a", "b"))
+    for make in (list, tuple, iter, np.array):
+        got = ProblemInstance(
+            beta=make([1, 2]), alpha=make([0, 3, 0]), keys=make(["a", "b"])
+        )
+        assert (got.beta, got.alpha, list(got.keys)) == (want.beta, want.alpha, ["a", "b"])
 
 
 @pytest.mark.parametrize("c", [0, -1, Fraction(-1, 2)])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -201,6 +202,16 @@ def test_height_guarantee():
         assert weighted_path_length(sol.tree, inst) == sol.cost
 
 
+def _exact_path(weights, h_max):
+    """The exact path of a pass on the integer weights: "int32" when its
+    packed top, the dead sentinel plus the largest finite value with every
+    level bit set, fits int32, else "int64"."""
+    _, alpha, beta = weights
+    bound = (h_max + 1) * (sum(alpha) + sum(beta))
+    top = ((2 * bound + 1) << solver._LEVEL_BITS) | solver._LEVEL_MASK
+    return "int32" if top < 2**31 else "int64"
+
+
 def test_engines_agree():
     rng = random.Random(31)
     cases = []
@@ -212,17 +223,22 @@ def test_engines_agree():
     cases += [(rng.randint(41, 120), rng.randint(0, 2), "zipf") for _ in range(6)]
     # h = 12: the pair index (1+p)*(h+1) of the shallow move exceeds int8
     cases.append((40, 6, "uniform"))
+    # zipf totals pass the int32 cap from n = 15 or so, and int64 from n = 41
+    cases.append((20, 1, "zipf"))
+    paths = set()
     for n, delta, dist in cases:
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
         low, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
+        paths.add(path)
         assert got_ds == ds, (n, delta, dist)
         assert low <= cost <= low + error, (n, delta, dist)
         if n > 40 and dist == "zipf":
             assert path == "int64-floored" and error > 0
         else:
-            assert path == "int64" and error == 0
+            assert path == _exact_path(inst.integer_weights(), h_max) and error == 0
+    assert paths == {"int32", "int64", "int64-floored"}
 
 
 def _mark_every_margin_thin(monkeypatch):
@@ -280,12 +296,14 @@ def test_pair_cost_blocks_match_reference(monkeypatch, blocks, extra):
     that the last block is partial and stages fall on each side of a block
     boundary: on each path the kernel's decisions equal the reference
     pass's, and its cost equals it up to its rounding bound (0 when exact).
-    Uniform weights take "int64", zipf weights "int64-floored", and zipf
-    weights with every margin thin "object"."""
+    Uniform weights take "int32", and "int64" scaled by 10^7, zipf weights
+    "int64-floored", and zipf weights with every margin thin "object"."""
     n = blocks * solver._PAIR_BLOCK + extra
     h_max = h_min(n)
-    for dist, path in (("uniform", "int64"), ("zipf", "int64-floored")):
-        inst = generate_random_instance(n, n, dist=dist)
+    uniform = generate_random_instance(n, n)
+    cases = [(uniform, "int32"), (uniform.scaled(Fraction(10**7)), "int64")]
+    cases.append((generate_random_instance(n, n, dist="zipf"), "int64-floored"))
+    for inst, path in cases:
         cost, ds = forward_pass(backward_pass(inst, h_max))
         low, error, got_ds, got_path = _kernel_pass(inst.integer_weights(), h_max)
         assert (got_path, got_ds) == (path, ds) and low <= cost <= low + error
@@ -401,8 +419,8 @@ def test_rows_kept_for_the_lowest_stages_that_fit(monkeypatch):
     the rows of the lowest k stages that fit, at most _ROW_BUDGET bytes,
     and recomputes only the n - k stages above them; it decides as with no
     rows kept (every stage recomputed) and as with all n kept (no
-    recompute). The exact paths keep no rows: "int64", and the "object"
-    rerun after a floored pass that kept them."""
+    recompute). The exact paths keep no rows: "int32", "int64", and the
+    "object" rerun after a floored pass that kept them."""
     real = solver._backward
     kept = []
 
@@ -431,44 +449,49 @@ def test_rows_kept_for_the_lowest_stages_that_fit(monkeypatch):
         assert kept.pop() == rows * row_bytes and passes == want
 
     n, h_max = 60, h_min(60)  # rows that fit
-    assert _kernel_pass(generate_random_instance(n, 5).integer_weights(), h_max)[3] == "int64"
-    assert kept.pop() == 0
+    uniform = generate_random_instance(n, 5)
+    for inst, path in ((uniform, "int32"), (uniform.scaled(Fraction(10**7)), "int64")):
+        assert _kernel_pass(inst.integer_weights(), h_max)[3] == path
+        assert kept.pop() == 0
     _mark_every_margin_thin(monkeypatch)
     weights = generate_random_instance(n, 5, dist="zipf").integer_weights()
     assert _kernel_pass(weights, h_max)[3] == "object"
     assert kept[0] > 0 and kept[1:] == [0]
 
 
-def _grid_shift_search(total, h_max, slack):
+def _grid_shift_search(total, h_max, slack, ceiling):
     """The smallest K at which the packed top of a pass on weights floored
-    to 2^K fits int64, found by stepping up from a few bits below the
-    estimate: the search that solver._grid_bits puts in closed form."""
+    to 2^K is at most ceiling, found by stepping up from a few bits below
+    the estimate: the search that solver._grid_bits puts in closed form."""
 
     def top(shift):
         bound = (h_max + 1) * (total >> shift)
         return ((2 * bound + slack) << solver._LEVEL_BITS) | solver._LEVEL_MASK
 
-    shift = max(0, top(0).bit_length() - 66)
-    while top(shift) > solver._INT64_MAX:
+    shift = max(0, top(0).bit_length() - ceiling.bit_length() - 3)
+    while top(shift) > ceiling:
         shift += 1
     return shift
 
 
 def test_grid_bits_matches_search():
     rng = random.Random(53)
-    room = solver._INT64_MAX >> solver._LEVEL_BITS
+    assert (solver._INT32_MAX, solver._INT64_MAX) == (2**31 - 1, 2**63 - 1)
     for _ in range(1500):
         n = rng.randint(1, 16000)
         h_max = rng.randint(1, 24)
-        for slack in (1, (h_max + 1) * (2 * n + 1) + 2):
-            cap = (room - slack) // (2 * (h_max + 1))
+        for ceiling, slack in itertools.product(
+            (solver._INT32_MAX, solver._INT64_MAX), (1, (h_max + 1) * (2 * n + 1) + 2)
+        ):
+            cap = ((ceiling >> solver._LEVEL_BITS) - slack) // (2 * (h_max + 1))
             # every K steps up where total crosses (cap + 1) << K
             edge = (cap + 1) << rng.randint(0, 300)
             totals = [rng.getrandbits(rng.randint(1, 4000))]
             totals += [edge + d for d in range(-3, 4)]
             for total in totals:
-                want = _grid_shift_search(total, h_max, slack)
-                assert solver._grid_bits(total, h_max, slack) == want, (total, h_max, slack)
+                want = _grid_shift_search(total, h_max, slack, ceiling)
+                got = solver._grid_bits(total, h_max, slack, ceiling)
+                assert got == want, (total, h_max, slack, ceiling)
 
 
 def test_grid_boundary_total():
@@ -494,6 +517,47 @@ def test_grid_boundary_total():
             assert low <= cost <= low + error, delta
 
 
+def test_int32_boundary_total():
+    """At h_max = 12, integer weights whose total is the largest with every
+    exact packed value in int32, 2,581,110, take the "int32" path; one more
+    unit of weight takes "int64". Both equal the reference pass."""
+    rng = random.Random(61)
+    n = h_max = 12
+    largest = ((solver._INT32_MAX >> solver._LEVEL_BITS) - 1) // (2 * (h_max + 1))
+    assert largest == 2_581_110
+    weights = [rng.randint(1, largest // (2 * n + 1)) for _ in range(2 * n + 1)]
+    weights[0] += largest - sum(weights)
+    for extra, want in ((0, "int32"), (1, "int64")):
+        inst = ProblemInstance(
+            beta=tuple(weights[:n]), alpha=(weights[n] + extra,) + tuple(weights[n + 1 :])
+        )
+        assert inst.integer_weights()[0] == 1
+        cost, ds = forward_pass(backward_pass(inst, h_max))
+        assert _kernel_pass(inst.integer_weights(), h_max) == (cost, 0, ds, want)
+
+
+# widths 6, 8, 9 and 12
+@pytest.mark.parametrize("n, delta", [(40, 0), (70, 1), (60, 3), (90, 5)])
+def test_int32_and_int64_passes_agree(n, delta):
+    """On exact instances at widths on both sides of _FUSED_LEVELS, an
+    int32 and an int64 _backward return the same value and byte-identical
+    int8 policies: the low byte of a packed value does not depend on the
+    dtype it was computed in."""
+    h_max = h_min(n) + delta
+    for inst in (generate_random_instance(n, n), generate_random_instance(n, n, "zipf")):
+        weights = inst.integer_weights()
+        _, alpha, beta = weights
+        if _exact_path(weights, h_max) != "int32":
+            # zipf weights above int32: keep their ratios on a coarser grid
+            shift = (sum(alpha) + sum(beta)).bit_length() - 16
+            alpha, beta = [w >> shift for w in alpha], [w >> shift for w in beta]
+        dead = (h_max + 1) * (sum(alpha) + sum(beta)) + 1
+        narrow = solver._backward(alpha, beta, h_max, np.int32, dead)
+        wide = solver._backward(alpha, beta, h_max, np.int64, dead)
+        assert narrow[0] == wide[0], (n, delta)
+        assert narrow[1].dtype == np.int8 and narrow[1].tobytes() == wide[1].tobytes()
+
+
 def test_kernel_matches_reference_on_ties():
     """Weights in {0, 1, 2} make many decisions tie; both passes must pick
     the smallest level. The last three cases run at widths above
@@ -515,7 +579,7 @@ def test_kernel_matches_reference_on_ties():
         cost, ds = forward_pass(backward_pass(inst, h_max))
         got_cost, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
         assert (got_cost, got_ds) == (cost, ds), (n, delta)
-        assert (path, error) == ("int64", 0)
+        assert (path, error) == ("int32", 0)
 
 
 def _scalar_stage(v_next, alpha, beta, h_max):
@@ -714,11 +778,11 @@ def test_policy_bytes_hold_the_level_in_their_low_bits(monkeypatch):
     """Each pass of _kernel_pass stores an int8 policy of policy_bytes(n, h)
     bytes whose low _LEVEL_BITS bits, at every reachable state below
     2^(h-1) with a finite value, are the level of the reference pass on the
-    integer weights the pass ran on: exact int64, floored and object passes,
-    at widths on both sides of _FUSED_LEVELS. The int64 bytes keep value
-    bits above the level; _walk masks them out, so setting bits 5-7 of every
-    byte, which makes every byte negative, changes none of its levels and
-    states."""
+    integer weights the pass ran on: exact int32 and int64, floored and
+    object passes, at widths on both sides of _FUSED_LEVELS. The int32 and
+    int64 bytes keep value bits above the level; _walk masks them out, so
+    setting bits 5-7 of every byte, which makes every byte negative,
+    changes none of its levels and states."""
     real = solver._backward
     passes = []
 
@@ -729,6 +793,8 @@ def test_policy_bytes_hold_the_level_in_their_low_bits(monkeypatch):
 
     monkeypatch.setattr(solver, "_backward", spy)
     uniform = [(generate_random_instance(n, 9), delta) for n, delta in ((20, 0), (40, 4))]
+    # scaled above the int32 cap, the same instances take "int64"
+    uniform += [(inst.scaled(Fraction(10**7)), delta) for inst, delta in uniform]
     zipf = [(generate_random_instance(n, 9, "zipf"), delta) for n, delta in ((48, 1), (60, 3))]
     kinds = []
     for thin, cases in ((False, uniform + zipf), (True, zipf)):
@@ -738,11 +804,12 @@ def test_policy_bytes_hold_the_level_in_their_low_bits(monkeypatch):
             h_max = h_min(inst.n) + delta
             path = _kernel_pass(inst.integer_weights(), h_max)[3]
             # an "object" path reruns after a floored pass
-            first = "int64" if path == "int64" else "int64-floored"
+            first = "int64-floored" if path == "object" else path
             kinds += [(first, h_max)] + ([(path, h_max)] if path == "object" else [])
     assert len(kinds) == len(passes)
-    assert {path for path, _ in kinds} == {"int64", "int64-floored", "object"}
-    for path in ("int64", "int64-floored", "object"):
+    paths = ("int32", "int64", "int64-floored", "object")
+    assert {path for path, _ in kinds} == set(paths)
+    for path in paths:
         widths = [h for p, h in kinds if p == path]
         assert min(widths) <= solver._FUSED_LEVELS < max(widths), path
     value_bits = False
@@ -840,9 +907,11 @@ def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):
         return cost + shift[path](error), error, ds, path
 
     monkeypatch.setattr(solver, "_kernel_pass", wrong_cost)
-    shift["int64"] = lambda error: 1
-    with pytest.raises(RuntimeError, match="differs"):
-        solve(golden_instance, 0)
+    shift["int32"] = shift["int64"] = lambda error: 1
+    for inst, path in ((golden_instance, "int32"), (golden_instance.scaled(10**12), "int64")):
+        assert real(inst.integer_weights(), 3)[3] == path
+        with pytest.raises(RuntimeError, match="differs"):
+            solve(inst, 0)
     # a floored value lies below the tree's wpl by less than its rounding
     # bound; the solution reports the exact wpl
     inst = generate_random_instance(96, 1, dist="zipf")
@@ -985,8 +1054,9 @@ _ZIPF_SHAPES = [
 def _pinned_cases():
     """(name, instance, delta) of the solves whose outputs PINNED records:
     every bigint-zipf shape, 40 small shapes spaced like small-mixed's
-    n (delta 0..3, a quarter zero-alpha) and one wide uniform solve, and
-    the mirrored tie fixtures of test_exact_ties_take_the_exact_path."""
+    n (delta 0..3, a quarter zero-alpha), one wide uniform solve, one
+    uniform solve scaled above the int32 cap, and the mirrored tie
+    fixtures of test_exact_ties_take_the_exact_path."""
     for i, (n, delta) in enumerate(_ZIPF_SHAPES):
         yield f"zipf n={n} d={delta}", generate_random_instance(n, 1000 + i, "zipf"), delta
     for j in range(40):
@@ -996,6 +1066,8 @@ def _pinned_cases():
         inst = generate_random_instance(n, 2000 + j, zero_alpha=zero_alpha)
         yield f"uniform seed={2000 + j} n={n} d={delta} za={zero_alpha:d}", inst, delta
     yield "uniform n=800 d=3", generate_random_instance(800, 3000), 3
+    scaled = generate_random_instance(30, 2040).scaled(Fraction(10**7))
+    yield "uniform seed=2040 n=30 d=1 x10^7", scaled, 1
     for d in (2**61 - 1, 2**89 - 1):
         for n in (6, 7, 30, 31, 254, 255):
             for delta in range(3):
@@ -1006,7 +1078,7 @@ def test_solve_outputs_are_pinned(monkeypatch):
     """solve() takes the kernel path, and returns the cost and decisions,
     that PINNED records for every case of _pinned_cases: each digest is the
     first 16 hex digits of the sha256 of perfbench's digest text
-    "cost|levels". The cases cover all three kernel paths."""
+    "cost|levels". The cases cover all four kernel paths."""
     real = solver._kernel_pass
     paths = []
 
@@ -1022,7 +1094,8 @@ def test_solve_outputs_are_pinned(monkeypatch):
         text = f"{sol.cost}|{','.join(map(str, sol.decisions.levels))}"
         got[name] = (paths.pop(), hashlib.sha256(text.encode()).hexdigest()[:16])
     assert got == PINNED
-    assert {path for path, _ in PINNED.values()} == {"int64", "int64-floored", "object"}
+    paths = {"int32", "int64", "int64-floored", "object"}
+    assert {path for path, _ in PINNED.values()} == paths
 
 
 # (path, digest) of each case of _pinned_cases. A change that keeps
@@ -1041,47 +1114,48 @@ PINNED = {
     "zipf n=192 d=1": ("int64-floored", "75071d93ebcabde0"),
     "zipf n=224 d=0": ("int64-floored", "f736f602eb289f10"),
     "zipf n=256 d=0": ("int64-floored", "ff45ce7d0c1a23cc"),
-    "uniform seed=2000 n=1 d=0 za=0": ("int64", "bbc0924be89647ad"),
-    "uniform seed=2001 n=1 d=1 za=1": ("int64", "309740135f85c6f5"),
-    "uniform seed=2002 n=1 d=2 za=0": ("int64", "3657aa24cb763054"),
-    "uniform seed=2003 n=1 d=3 za=0": ("int64", "30746a4a83b052c4"),
-    "uniform seed=2004 n=1 d=0 za=0": ("int64", "aa6a1f0ffb4b2d36"),
-    "uniform seed=2005 n=1 d=1 za=1": ("int64", "44875944ebe2b096"),
-    "uniform seed=2006 n=1 d=2 za=0": ("int64", "27b069f1ecd764f7"),
-    "uniform seed=2007 n=1 d=3 za=0": ("int64", "c4481b6c16aec2e2"),
-    "uniform seed=2008 n=2 d=0 za=0": ("int64", "541558c40d01f560"),
-    "uniform seed=2009 n=2 d=1 za=1": ("int64", "ccfd3a0b14fbb682"),
-    "uniform seed=2010 n=2 d=2 za=0": ("int64", "af3045ca888d441c"),
-    "uniform seed=2011 n=3 d=3 za=0": ("int64", "d1307bfa94e36b6f"),
-    "uniform seed=2012 n=3 d=0 za=0": ("int64", "ae7080615252f7cb"),
-    "uniform seed=2013 n=4 d=1 za=1": ("int64", "e0679ffaacf6ac23"),
-    "uniform seed=2014 n=5 d=2 za=0": ("int64", "b24e3f0801378362"),
-    "uniform seed=2015 n=5 d=3 za=0": ("int64", "5f8af4a4e1639709"),
-    "uniform seed=2016 n=6 d=0 za=0": ("int64", "6dbf4504a6b419b8"),
-    "uniform seed=2017 n=8 d=1 za=1": ("int64", "9ecbdd8dc3803a60"),
-    "uniform seed=2018 n=9 d=2 za=0": ("int64", "1ccbd82c5b19c330"),
-    "uniform seed=2019 n=10 d=3 za=0": ("int64", "76b7a45b523ecb93"),
-    "uniform seed=2020 n=12 d=0 za=0": ("int64", "91cc616e188a799c"),
-    "uniform seed=2021 n=13 d=1 za=1": ("int64", "f4913557b581c693"),
-    "uniform seed=2022 n=15 d=2 za=0": ("int64", "57cb3067b58c5627"),
-    "uniform seed=2023 n=17 d=3 za=0": ("int64", "d45f895cd35e072e"),
-    "uniform seed=2024 n=19 d=0 za=0": ("int64", "872b3d9ade6ce69d"),
-    "uniform seed=2025 n=22 d=1 za=1": ("int64", "3465723002bd2523"),
-    "uniform seed=2026 n=24 d=2 za=0": ("int64", "19d5e04ef70fd985"),
-    "uniform seed=2027 n=27 d=3 za=0": ("int64", "a479300a8017ed4c"),
-    "uniform seed=2028 n=30 d=0 za=0": ("int64", "d4dfae803d8dec47"),
-    "uniform seed=2029 n=33 d=1 za=1": ("int64", "d90f46c7d578935b"),
-    "uniform seed=2030 n=37 d=2 za=0": ("int64", "4963ca56b5678796"),
-    "uniform seed=2031 n=41 d=3 za=0": ("int64", "75fa0d3d6caec5df"),
-    "uniform seed=2032 n=45 d=0 za=0": ("int64", "81e6dd162474e5f6"),
-    "uniform seed=2033 n=49 d=0 za=1": ("int64", "1d4d7a53f0a0f2c4"),
-    "uniform seed=2034 n=53 d=1 za=0": ("int64", "6fc74c78e093fd18"),
-    "uniform seed=2035 n=58 d=2 za=0": ("int64", "ae94c73876ca3dc8"),
-    "uniform seed=2036 n=63 d=0 za=0": ("int64", "1c0ee345bb8ed083"),
-    "uniform seed=2037 n=68 d=1 za=1": ("int64", "2bf5a28fa46c5251"),
-    "uniform seed=2038 n=74 d=2 za=0": ("int64", "f42082c77f613c80"),
-    "uniform seed=2039 n=80 d=0 za=0": ("int64", "c26d6cccb0d35302"),
-    "uniform n=800 d=3": ("int64", "9150dfed26519817"),
+    "uniform seed=2000 n=1 d=0 za=0": ("int32", "bbc0924be89647ad"),
+    "uniform seed=2001 n=1 d=1 za=1": ("int32", "309740135f85c6f5"),
+    "uniform seed=2002 n=1 d=2 za=0": ("int32", "3657aa24cb763054"),
+    "uniform seed=2003 n=1 d=3 za=0": ("int32", "30746a4a83b052c4"),
+    "uniform seed=2004 n=1 d=0 za=0": ("int32", "aa6a1f0ffb4b2d36"),
+    "uniform seed=2005 n=1 d=1 za=1": ("int32", "44875944ebe2b096"),
+    "uniform seed=2006 n=1 d=2 za=0": ("int32", "27b069f1ecd764f7"),
+    "uniform seed=2007 n=1 d=3 za=0": ("int32", "c4481b6c16aec2e2"),
+    "uniform seed=2008 n=2 d=0 za=0": ("int32", "541558c40d01f560"),
+    "uniform seed=2009 n=2 d=1 za=1": ("int32", "ccfd3a0b14fbb682"),
+    "uniform seed=2010 n=2 d=2 za=0": ("int32", "af3045ca888d441c"),
+    "uniform seed=2011 n=3 d=3 za=0": ("int32", "d1307bfa94e36b6f"),
+    "uniform seed=2012 n=3 d=0 za=0": ("int32", "ae7080615252f7cb"),
+    "uniform seed=2013 n=4 d=1 za=1": ("int32", "e0679ffaacf6ac23"),
+    "uniform seed=2014 n=5 d=2 za=0": ("int32", "b24e3f0801378362"),
+    "uniform seed=2015 n=5 d=3 za=0": ("int32", "5f8af4a4e1639709"),
+    "uniform seed=2016 n=6 d=0 za=0": ("int32", "6dbf4504a6b419b8"),
+    "uniform seed=2017 n=8 d=1 za=1": ("int32", "9ecbdd8dc3803a60"),
+    "uniform seed=2018 n=9 d=2 za=0": ("int32", "1ccbd82c5b19c330"),
+    "uniform seed=2019 n=10 d=3 za=0": ("int32", "76b7a45b523ecb93"),
+    "uniform seed=2020 n=12 d=0 za=0": ("int32", "91cc616e188a799c"),
+    "uniform seed=2021 n=13 d=1 za=1": ("int32", "f4913557b581c693"),
+    "uniform seed=2022 n=15 d=2 za=0": ("int32", "57cb3067b58c5627"),
+    "uniform seed=2023 n=17 d=3 za=0": ("int32", "d45f895cd35e072e"),
+    "uniform seed=2024 n=19 d=0 za=0": ("int32", "872b3d9ade6ce69d"),
+    "uniform seed=2025 n=22 d=1 za=1": ("int32", "3465723002bd2523"),
+    "uniform seed=2026 n=24 d=2 za=0": ("int32", "19d5e04ef70fd985"),
+    "uniform seed=2027 n=27 d=3 za=0": ("int32", "a479300a8017ed4c"),
+    "uniform seed=2028 n=30 d=0 za=0": ("int32", "d4dfae803d8dec47"),
+    "uniform seed=2029 n=33 d=1 za=1": ("int32", "d90f46c7d578935b"),
+    "uniform seed=2030 n=37 d=2 za=0": ("int32", "4963ca56b5678796"),
+    "uniform seed=2031 n=41 d=3 za=0": ("int32", "75fa0d3d6caec5df"),
+    "uniform seed=2032 n=45 d=0 za=0": ("int32", "81e6dd162474e5f6"),
+    "uniform seed=2033 n=49 d=0 za=1": ("int32", "1d4d7a53f0a0f2c4"),
+    "uniform seed=2034 n=53 d=1 za=0": ("int32", "6fc74c78e093fd18"),
+    "uniform seed=2035 n=58 d=2 za=0": ("int32", "ae94c73876ca3dc8"),
+    "uniform seed=2036 n=63 d=0 za=0": ("int32", "1c0ee345bb8ed083"),
+    "uniform seed=2037 n=68 d=1 za=1": ("int32", "2bf5a28fa46c5251"),
+    "uniform seed=2038 n=74 d=2 za=0": ("int32", "f42082c77f613c80"),
+    "uniform seed=2039 n=80 d=0 za=0": ("int32", "c26d6cccb0d35302"),
+    "uniform n=800 d=3": ("int32", "9150dfed26519817"),
+    "uniform seed=2040 n=30 d=1 x10^7": ("int64", "6b1915c4ea957e1f"),
     "mirrored n=6 2^61-1 d=0": ("object", "c2d4368e411cb498"),
     "mirrored n=6 2^61-1 d=1": ("object", "c0eb64e1cf51d9df"),
     "mirrored n=6 2^61-1 d=2": ("object", "c0eb64e1cf51d9df"),

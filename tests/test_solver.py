@@ -561,7 +561,10 @@ def test_int32_and_int64_passes_agree(n, delta):
 def test_kernel_matches_reference_on_ties():
     """Weights in {0, 1, 2} make many decisions tie; both passes must pick
     the smallest level. The last three cases run at widths above
-    _FUSED_LEVELS, where fused and contiguous deep levels compete."""
+    _FUSED_LEVELS, where fused and contiguous deep levels compete. Each
+    instance also runs scaled by 10^8, which puts its total above the int32
+    cap of every width (16,777,215 at h_max = 1), so the same ties reach
+    both exact dtypes."""
     rng = random.Random(41)
     wide = solver._FUSED_LEVELS + 1
     cases = [(n, rng.randint(0, 3)) for n in range(1, 41)]
@@ -574,12 +577,13 @@ def test_kernel_matches_reference_on_ties():
             alpha = tuple(Fraction(rng.randint(0, 2)) for _ in range(n + 1))
         if not any(beta + alpha):
             beta = (Fraction(1),) + beta[1:]
-        inst = ProblemInstance(beta=beta, alpha=alpha)
         h_max = min(h_min(n) + delta, n)
-        cost, ds = forward_pass(backward_pass(inst, h_max))
-        got_cost, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
-        assert (got_cost, got_ds) == (cost, ds), (n, delta)
-        assert (path, error) == ("int32", 0)
+        small = ProblemInstance(beta=beta, alpha=alpha)
+        for inst, dtype in ((small, "int32"), (small.scaled(Fraction(10**8)), "int64")):
+            cost, ds = forward_pass(backward_pass(inst, h_max))
+            got_cost, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
+            assert (got_cost, got_ds) == (cost, ds), (n, delta, dtype)
+            assert (path, error) == (dtype, 0), (n, delta)
 
 
 def _scalar_stage(v_next, alpha, beta, h_max):

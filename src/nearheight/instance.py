@@ -1,10 +1,11 @@
 """Problem model: exact rational weights, instances, trees, weighted path length.
 
 A ProblemInstance is checked once, when it is made, so every instance that
-exists is valid. A tree is rebuilt from its decision sequence (the in-order
-key levels) by one replay of the decision process of the states module, and
-rendered as JSON, Graphviz DOT or text. Random instances and height_bound,
-the height bound of solve() and bench, are here too.
+exists is valid; its weights are Fractions of Python ints. A tree is built
+only from its decision sequence (the in-order key levels), by one replay of
+the decision process of the states module, and rendered as JSON, Graphviz
+DOT or text; solver.solution_from_obj reads a JSON tree by rebuilding it
+from its decisions. Random instances and height_bound are here too.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ _NOT_A_SEQUENCE = (str, bytes, bytearray, memoryview, Mapping, Set)
 
 
 def _weight(w) -> Fraction:
+    """w as a Fraction of Python ints: NumPy parts would overflow."""
     if type(w) is bool:  # which Fraction would take as 0 or 1
         raise TypeError(f"{w!r} is a bool, not a weight")
-    return Fraction(w)
+    p, q = Fraction(w).as_integer_ratio()
+    return Fraction(int(p), int(q))
 
 
 def format_weight(w: Fraction) -> str:
@@ -111,8 +114,12 @@ class ProblemInstance:
                 raise InstanceError(f"{name} must be a sequence of {items}, not one {what}")
         for name in ("beta", "alpha"):
             try:
+                # read from the slots: the numerator and denominator properties
+                # are Python calls, which doubled the time to make an instance
                 weights = tuple(
-                    w if type(w) is Fraction else _weight(w) for w in getattr(self, name)
+                    w if type(w) is Fraction and type(w._numerator) is int is type(w._denominator)
+                    else _weight(w)
+                    for w in getattr(self, name)
                 )
                 object.__setattr__(self, name, weights)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
@@ -332,36 +339,6 @@ def tree_to_obj(root: Node) -> dict:
     return {"gap": root.gap, "level": root.level}
 
 
-def tree_from_obj(obj) -> Node:
-    """Read a tree from its JSON object form. The root must be at level 0
-    and every child one level below its parent; weighted_path_length reads
-    the levels, so any other level raises InstanceError. Nodes are read in
-    preorder from an explicit stack, so depth is limited by memory only."""
-    root = None
-    stack = [(obj, 0, None, None)]  # (object, level, parent, side)
-    while stack:
-        obj, level, parent, side = stack.pop()
-        if not isinstance(obj, dict):
-            raise InstanceError("tree node must be a JSON object")
-        if type(obj.get("level")) is not int or obj["level"] != level:
-            raise InstanceError(f"tree node at depth {level} has level {obj.get('level')!r}")
-        if "key" in obj:
-            if "left" not in obj or "right" not in obj:
-                raise InstanceError("internal tree node needs 'left' and 'right'")
-            nd = Internal(key=json_int(obj["key"], "key"), level=level, left=None, right=None)
-            stack.append((obj["right"], level + 1, nd, "right"))
-            stack.append((obj["left"], level + 1, nd, "left"))
-        elif "gap" in obj:
-            nd = External(gap=json_int(obj["gap"], "gap"), level=level)
-        else:
-            raise InstanceError("tree node needs 'key' or 'gap'")
-        if parent is None:
-            root = nd
-        else:
-            setattr(parent, side, nd)
-    return root
-
-
 def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:
     """Graphviz rendering; byte-stable for a fixed tree.
 
@@ -410,21 +387,22 @@ def tree_to_text(root: Node, keys: Optional[tuple] = None) -> str:
 @dataclass(frozen=True)
 class DecisionSequence:
     """Per-key level choices; entry nu-1 is the level of key k_nu, a Python
-    or NumPy integer (not a bool) in 0..h_max-1."""
+    or NumPy integer (not a bool) in 0..h_max-1, stored as an int."""
 
     levels: tuple
     h_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        for i, a in enumerate(self.levels):
-            # a plain int skips the type test; bool is Integral, np.bool_ is not
-            integer = type(a) is int or type(a) is not bool and isinstance(a, Integral)
+        levels, cast = tuple(self.levels), False
+        for i, a in enumerate(levels):
+            # bool is Integral, np.bool_ is not; other Integrals become ints
+            integer = type(a) is int or (cast := type(a) is not bool and isinstance(a, Integral))
             if not (integer and 0 <= a < self.h_max):
                 raise InfeasibleDecisionError(
                     f"decision {a} at stage {i + 1} is not an integer in 0..{self.h_max - 1}",
                     stage=i + 1,
                 )
+        object.__setattr__(self, "levels", tuple(map(int, levels)) if cast else levels)
 
     def __len__(self):
         return len(self.levels)

@@ -34,7 +34,9 @@ import numpy as np
 
 from .instance import (
     DecisionSequence,
+    InfeasibleDecisionError,
     InstanceError,
+    Internal,
     Node,
     ProblemInstance,
     build_tree_from_decisions,
@@ -42,9 +44,7 @@ from .instance import (
     h_min,
     height_bound,
     json_int,
-    key_levels,
     parse_weight,
-    tree_from_obj,
     tree_height,
     tree_to_obj,
     weighted_path_length,
@@ -74,6 +74,8 @@ _PAIR_BLOCK = 64
 # A floored pass keeps the next values of its lowest stages that fit in this
 # many bytes, and _thin_margins recomputes only the stages above them.
 _ROW_BUDGET = 8 << 20
+# The fields of a key node and of a gap node in a solution's JSON tree.
+_KEY_FIELDS, _GAP_FIELDS = {"key", "level", "left", "right"}, {"gap", "level"}
 
 
 class InfeasibleHeightError(ValueError):
@@ -115,21 +117,40 @@ class Solution:
 
 
 def solution_from_obj(obj: dict) -> "Solution":
-    """Rebuild a Solution from its JSON object form. A missing field, one
-    of the wrong type, decisions other than the tree's key levels, or an
-    h_max that does not hold them raise InstanceError."""
+    """Rebuild a Solution from its JSON object form: its tree is the one
+    build_tree_from_decisions builds from 'decisions' and 'h_max', which
+    'tree' must spell node for node, read from an explicit stack. A missing
+    or ill-typed field, refused decisions, or the first tree node that
+    differs, named by its key or gap and level, raise InstanceError."""
     if not isinstance(obj, dict) or not {"wpl", "decisions", "h_max", "tree"} <= obj.keys():
         raise InstanceError("solution needs 'wpl', 'decisions', 'h_max' and 'tree'")
     if not isinstance(obj["decisions"], list):
         raise InstanceError("'decisions' must be a JSON array")
     levels = tuple(json_int(a, "decision") for a in obj["decisions"])
-    tree = tree_from_obj(obj["tree"])
-    if key_levels(tree) != levels:
-        raise InstanceError("'decisions' are not the key levels of 'tree'")
     h_max = json_int(obj["h_max"], "h_max")
     if h_max <= max(levels, default=-1):
         raise InstanceError(f"'h_max' {h_max} is negative or not above every decision")
-    decisions = DecisionSequence(levels=levels, h_max=h_max)
+    try:
+        decisions = DecisionSequence(levels=levels, h_max=h_max)
+        tree = build_tree_from_decisions(decisions, len(levels))
+    except InfeasibleDecisionError as e:
+        raise InstanceError(f"'decisions' form no tree: {e}") from e
+    stack = [(obj["tree"], tree)]
+    while stack:
+        node, want = stack.pop()
+        name, fields = ("key", _KEY_FIELDS) if type(want) is Internal else ("gap", _GAP_FIELDS)
+        label = getattr(want, name)
+        if not isinstance(node, dict) or node.keys() != fields:
+            problem = f"must be a JSON object with exactly the fields {sorted(fields)}"
+        elif not type(node[name]) is type(node["level"]) is int or (
+            node[name] != label or node["level"] != want.level
+        ):
+            problem = f"has {name} {node[name]!r} and level {node['level']!r}"
+        else:
+            if name == "key":
+                stack += ((node["right"], want.right), (node["left"], want.left))
+            continue
+        raise InstanceError(f"tree node of {name} {label} at level {want.level} {problem}")
     return Solution(cost=parse_weight(obj["wpl"]), decisions=decisions, tree=tree)
 
 

@@ -32,9 +32,9 @@ from nearheight.instance import (
     height_bound,
     inorder,
     key_levels,
-    tree_from_obj,
     tree_to_obj,
 )
+from nearheight.solver import Solution, solution_from_obj
 
 
 def test_h_min_examples():
@@ -437,8 +437,14 @@ def test_decision_sequence_refuses_bad_levels(levels, stage):
 
 
 def test_decision_sequence_takes_numpy_integers():
+    """NumPy integer levels are stored as ints, so a solution made of them
+    serialises: json.dumps refuses np.int64."""
     ds = DecisionSequence(levels=(np.int64(1), np.int8(0), np.uint8(1)), h_max=2)
     assert key_levels(build_tree_from_decisions(ds, 3)) == (1, 0, 1)
+    ds = DecisionSequence(levels=np.array([1, 0, 1]), h_max=2)
+    assert ds.levels == (1, 0, 1) and {type(a) for a in ds.levels} == {int}
+    sol = Solution(cost=Fraction(0), decisions=ds, tree=build_tree_from_decisions(ds, 3))
+    assert json.loads(json.dumps(sol.to_obj()))["decisions"] == [1, 0, 1]
 
 
 def test_count_keys():
@@ -639,10 +645,15 @@ def test_instance_json_keys():
     assert inst.keys == ("a", "b")
 
 
+def _solution_obj(tree_obj, levels, h_max):
+    """A solution object around a JSON tree; the reader ignores 'wpl'."""
+    return {"wpl": "0", "decisions": list(levels), "h_max": h_max, "tree": tree_obj}
+
+
 def test_tree_json_round_trip():
     root = golden_tree()
-    obj = tree_to_obj(root)
-    again = tree_from_obj(json.loads(json.dumps(obj)))
+    obj = json.loads(json.dumps(tree_to_obj(root)))
+    again = solution_from_obj(_solution_obj(obj, key_levels(root), 3)).tree
     assert tree_to_obj(again) == obj
 
 
@@ -650,14 +661,15 @@ def test_tree_json_round_trip():
     "obj, message",
     [
         ([], "must be a JSON object"),
-        ({"level": 0}, "needs 'key' or 'gap'"),
+        ({"level": 0}, "key 1 at level 0 must be a JSON object with exactly"),
         ({"key": 1, "level": 0, "left": 0, "right": {"gap": 1, "level": 1}}, "JSON object"),
         ({"key": 1, "level": 0, "left": {"gap": 0, "level": 1}, "right": {"level": 1}}, "'gap'"),
     ],
 )
 def test_tree_reader_refuses_malformed_nodes(obj, message):
+    """Each node, wrapped in the solution of one key at level 0."""
     with pytest.raises(InstanceError, match=message):
-        tree_from_obj(obj)
+        solution_from_obj(_solution_obj(obj, [0], 1))
 
 
 def test_tree_reader_takes_deep_trees():
@@ -669,14 +681,14 @@ def test_tree_reader_takes_deep_trees():
     for key in range(n, 0, -1):
         left = {"gap": key - 1, "level": key}
         obj = {"key": key, "level": key - 1, "left": left, "right": obj}
-    tree = tree_from_obj(obj)
-    assert key_levels(tree) == tuple(range(n)) and tree_height(tree) == n
+    sol = solution_from_obj(_solution_obj(obj, range(n), n))
+    assert key_levels(sol.tree) == tuple(range(n)) and tree_height(sol.tree) == n
     node = obj
     while "key" in node:
         node = node["right"]
     node["level"] = 0
-    with pytest.raises(InstanceError, match=f"depth {n} has level 0"):
-        tree_from_obj(obj)
+    with pytest.raises(InstanceError, match=f"gap {n} at level {n} has gap {n} and level 0"):
+        solution_from_obj(_solution_obj(obj, range(n), n))
 
 
 def test_dot_export_takes_deep_trees():

@@ -115,6 +115,34 @@ def test_solve_rejects_invalid():
         solve(ProblemInstance(beta=(Fraction(1),), alpha=(0, 0)), -1)
 
 
+def test_numpy_weights_read_as_python_ints():
+    """NumPy int64 and int32 weight arrays, and a Fraction of an np.int64,
+    give the instance of the same weights as lists: Fractions of Python
+    ints, whose products do not overflow. With NumPy parts, 2^62 * 3
+    wrapped to -2^62 in integer_weights(), and solve() failed on
+    np.int64.bit_length."""
+    cases = [
+        ([2**62, 1], [Fraction(1, 3), 0, 0], np.array([2**62, 1]), [Fraction(1, 3), 0, 0]),
+        ([3, 1, 4], [1, 5, 9, 2], np.array([3, 1, 4], np.int32), np.array([1, 5, 9, 2], np.int32)),
+        ([5, 2], [0, 1, 0], [Fraction(np.int64(5)), np.int64(2)], [0, Fraction(np.int64(1)), 0]),
+    ]
+    for beta, alpha, np_beta, np_alpha in cases:
+        want = ProblemInstance(beta=beta, alpha=alpha)
+        got = ProblemInstance(beta=np_beta, alpha=np_alpha)
+        for w in got.beta + got.alpha:
+            assert type(w.numerator) is int and type(w.denominator) is int, w
+        assert got.integer_weights() == want.integer_weights()
+        h_max = h_min(got.n) + 1
+        assert forward_pass(backward_pass(got, h_max)) == forward_pass(backward_pass(want, h_max))
+        assert height_restricted_dp(got, h_max).cost == height_restricted_dp(want, h_max).cost
+        for delta in (0, 1):
+            assert solve(got, delta).to_obj() == solve(want, delta).to_obj()
+    big = ProblemInstance(beta=np.array([2**62, 1]), alpha=[Fraction(1, 3), 0, 0])
+    assert big.integer_weights() == (3, [1, 0, 0], [3 * 2**62, 3])
+    # key 1 at the root, key 2 and gap 0 at level 1: 2^62 + 2 + 1/3
+    assert forward_pass(backward_pass(big, 2))[0] == Fraction(3 * 2**62 + 7, 3)
+
+
 def test_instance_is_validated_once_where_it_is_made(monkeypatch, golden_instance):
     """Construction runs validate() once; the solvers and the oracles take
     the instance as valid and run it no more."""
@@ -212,7 +240,7 @@ def _exact_path(weights, h_max):
     return "int32" if top < 2**31 else "int64"
 
 
-def test_engines_agree():
+def test_kernel_matches_reference_pass():
     rng = random.Random(31)
     cases = []
     for _ in range(25):
@@ -846,7 +874,7 @@ def test_cached_tables_stay_within_ten_bytes_per_state():
         assert sum(a.nbytes for a in cached) <= 10 * (1 << h_max) + 64 * 1024, h_max
 
 
-def test_numpy_engine_never_falls_back(monkeypatch):
+def test_solve_never_calls_reference_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("reference pass called")
 
@@ -861,7 +889,7 @@ def test_numpy_engine_never_falls_back(monkeypatch):
     assert tree_height(sol.tree) <= 21
 
 
-def test_engine_selection_by_width(monkeypatch, golden_instance):
+def test_solve_refuses_width_above_table_max(monkeypatch, golden_instance):
     monkeypatch.setattr(solver.st, "TABLE_MAX_WIDTH", 2)
     with pytest.raises(ValueError, match="height bound 3 above"):
         solve(golden_instance, 0)
@@ -938,7 +966,7 @@ def test_height_bound_clamped_to_n():
         assert solve_with_max_height(inst, 100).h_max == n
 
 
-def test_fast_engine_relaxation_count_matches_tables():
+def test_reference_relaxation_count_matches_stage_counts():
     from nearheight.states import stage_counts
 
     for n, delta, seed in [(5, 0, 1), (12, 1, 2), (30, 2, 3), (9, 3, 4)]:
@@ -955,28 +983,31 @@ def test_solution_reader_checks_levels():
     whose decisions are not its tree's key levels: the decisions (1, 0) of
     beta = (1, 5) with the tree of beta = (5, 1), whose levels are (0, 1).
     Nor is an h_max of 1 or -3, neither of which holds level 1, nor a
-    negative h_max for no keys."""
+    negative h_max for no keys, nor decisions that form no tree."""
     zero = (Fraction(0),) * 3
     obj = solve(ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=zero), 0).to_obj()
     swapped = solve(ProblemInstance(beta=(Fraction(5), Fraction(1)), alpha=zero), 0).to_obj()
     assert (obj["decisions"], swapped["decisions"]) == ([1, 0], [0, 1])
-    with pytest.raises(InstanceError, match="not the key levels"):
+    with pytest.raises(InstanceError, match="key 2 at level 0 has key 1"):
         solution_from_obj(dict(obj, tree=swapped["tree"]))
     empty = solve(ProblemInstance(beta=(), alpha=(Fraction(1),)), 0).to_obj()
     for bad in (dict(obj, h_max=1), dict(obj, h_max=-3), dict(empty, h_max=-1)):
         with pytest.raises(InstanceError, match="'h_max'"):
             solution_from_obj(bad)
+    for decisions in ([0, 0], [1, 1], [-1, 0]):
+        with pytest.raises(InstanceError, match="'decisions' form no tree"):
+            solution_from_obj(dict(obj, decisions=decisions))
     inst = ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=(1, 1, 1))
     obj = json.loads(json.dumps(solve(inst, 0).to_obj()))
     assert obj["wpl"] == "12"
     gap2 = obj["tree"]["right"]
     assert gap2 == {"gap": 2, "level": 1}
     gap2["level"] = 0
-    with pytest.raises(InstanceError, match="depth 1 has level 0"):
+    with pytest.raises(InstanceError, match="gap 2 at level 1 has gap 2 and level 0"):
         solution_from_obj(obj)
     gap2["level"] = 1
     obj["tree"]["level"] = 1
-    with pytest.raises(InstanceError, match="depth 0 has level 1"):
+    with pytest.raises(InstanceError, match="key 2 at level 0 has key 2 and level 1"):
         solution_from_obj(obj)
 
 
@@ -985,7 +1016,7 @@ def test_solution_reader_needs_both_children():
     InstanceError, not a KeyError."""
     for tree in ({"key": 1, "level": 0}, {"key": 1, "level": 0, "left": {"gap": 0, "level": 1}}):
         obj = {"wpl": "2", "decisions": [0], "h_max": 1, "tree": tree}
-        with pytest.raises(InstanceError, match="needs 'left' and 'right'"):
+        with pytest.raises(InstanceError, match="key 1 at level 0 must be a JSON object"):
             solution_from_obj(obj)
 
 
@@ -1006,7 +1037,8 @@ def test_solution_reader_needs_every_field():
 
 def test_solution_reader_refuses_booleans():
     """JSON true and false are not integers: as a key, gap, level,
-    decision or h_max they are refused, not read as 1 and 0."""
+    decision or h_max they are refused, not read as 1 and 0. Nor is a
+    float level, even one equal to the rebuilt node's."""
     inst = ProblemInstance(beta=(Fraction(1),), alpha=(Fraction(1),) * 2)
     obj = solve(inst, 0).to_obj()
     assert obj["tree"] == {
@@ -1015,10 +1047,11 @@ def test_solution_reader_refuses_booleans():
     edits = [
         (lambda o: o, "h_max", True, "h_max must be an integer"),
         (lambda o: o["decisions"], 0, False, "decision must be an integer"),
-        (lambda o: o["tree"], "key", True, "key must be an integer"),
-        (lambda o: o["tree"], "level", False, "depth 0 has level False"),
-        (lambda o: o["tree"]["right"], "gap", True, "gap must be an integer"),
-        (lambda o: o["tree"]["left"], "level", True, "depth 1 has level True"),
+        (lambda o: o["tree"], "key", True, "key 1 at level 0 has key True"),
+        (lambda o: o["tree"], "level", False, "key 1 at level 0 has key 1 and level False"),
+        (lambda o: o["tree"]["right"], "gap", True, "gap 1 at level 1 has gap True"),
+        (lambda o: o["tree"]["left"], "level", True, "gap 0 at level 1 has gap 0 and level True"),
+        (lambda o: o["tree"]["left"], "level", 1.0, "gap 0 at level 1 has gap 0 and level 1.0"),
     ]
     for node, field, value, message in edits:
         bad = json.loads(json.dumps(obj))
@@ -1028,13 +1061,47 @@ def test_solution_reader_refuses_booleans():
     assert solution_from_obj(obj).to_obj() == obj
 
 
+def test_solution_reader_refuses_relabeled_trees(golden_instance):
+    """The tree is rebuilt from the decisions, and every label, level and
+    field of the JSON tree must match it: the golden solution with its
+    keys renumbered 11..14 and gaps 10..14, which has the right levels, is
+    refused, and so are one wrong gap label and one extra field."""
+    obj = json.loads(json.dumps(solve(golden_instance, 0).to_obj()))
+    relabeled = json.loads(json.dumps(obj))
+    stack = [relabeled["tree"]]
+    while stack:
+        node = stack.pop()
+        if "key" in node:
+            node["key"] += 10
+            stack += [node["left"], node["right"]]
+        else:
+            node["gap"] += 10
+    with pytest.raises(InstanceError, match="key 3 at level 0 has key 13"):
+        solution_from_obj(relabeled)
+    assert obj["tree"]["right"]["right"] == {"gap": 4, "level": 2}
+    edits = [
+        (lambda t: t["right"]["right"], "gap", 3, "gap 4 at level 2 has gap 3"),
+        (lambda t: t["right"]["right"], "key", 4, "gap 4 at level 2 must be a JSON object"),
+        (lambda t: t, "weight", "1", "key 3 at level 0 must be a JSON object"),
+    ]
+    for node, field, value, message in edits:
+        bad = json.loads(json.dumps(obj))
+        node(bad["tree"])[field] = value
+        with pytest.raises(InstanceError, match=message):
+            solution_from_obj(bad)
+
+
 def test_solution_json_round_trip(golden_instance):
-    sol = solve(golden_instance, 0)
-    obj = json.loads(json.dumps(sol.to_obj()))
-    again = solution_from_obj(obj)
-    assert again.cost == sol.cost
-    assert again.decisions == sol.decisions
-    assert again.to_obj() == sol.to_obj()
+    """The golden solve and every solve that test_solve_outputs_are_pinned
+    pins read back from their JSON text as the same Solution, whose tree
+    is the one rebuilt from the decisions."""
+    cases = [("golden", golden_instance, 0), *_pinned_cases()]
+    for name, inst, delta in cases:
+        sol = solve(inst, delta)
+        again = solution_from_obj(json.loads(json.dumps(sol.to_obj())))
+        assert (again.cost, again.decisions) == (sol.cost, sol.decisions), name
+        assert again.to_obj() == sol.to_obj(), name
+    assert len(cases) == len(PINNED) + 1
 
 
 def test_dead_states_are_retained(golden_instance):

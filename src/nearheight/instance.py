@@ -3,9 +3,8 @@
 A ProblemInstance is checked once, when it is made, so every instance that
 exists is valid; its weights are Fractions of Python ints. A tree is built
 only from its decision sequence (the in-order key levels), by one replay of
-the decision process of the states module, and rendered as JSON, Graphviz
-DOT or text; solver.solution_from_obj reads a JSON tree by rebuilding it
-from its decisions. Random instances and height_bound are here too.
+the decision process of the states module, even when solver.solution_from_obj
+reads one, and rendered as JSON, DOT or text. Also height_bound and generators.
 """
 
 from __future__ import annotations
@@ -78,6 +77,10 @@ def json_int(value, what: str) -> int:
 # small ints, a mapping as its keys and a set in hash order.
 _NOT_A_SEQUENCE = (str, bytes, bytearray, memoryview, Mapping, Set)
 
+# Fraction, whose parts ProblemInstance reads from CPython's slots (the properties
+# doubled the time to make an instance), or None without them: all go through _weight.
+_SLOTTED = Fraction if {"_numerator", "_denominator"} <= set(dir(Fraction)) else None
+
 
 def _weight(w) -> Fraction:
     """w as a Fraction of Python ints: NumPy parts would overflow."""
@@ -114,10 +117,8 @@ class ProblemInstance:
                 raise InstanceError(f"{name} must be a sequence of {items}, not one {what}")
         for name in ("beta", "alpha"):
             try:
-                # read from the slots: the numerator and denominator properties
-                # are Python calls, which doubled the time to make an instance
                 weights = tuple(
-                    w if type(w) is Fraction and type(w._numerator) is int is type(w._denominator)
+                    w if type(w) is _SLOTTED and type(w._numerator) is int is type(w._denominator)
                     else _weight(w)
                     for w in getattr(self, name)
                 )
@@ -393,16 +394,16 @@ class DecisionSequence:
     h_max: int
 
     def __post_init__(self):
-        levels, cast = tuple(self.levels), False
+        levels = tuple(self.levels)
         for i, a in enumerate(levels):
             # bool is Integral, np.bool_ is not; other Integrals become ints
-            integer = type(a) is int or (cast := type(a) is not bool and isinstance(a, Integral))
+            integer = type(a) is int or type(a) is not bool and isinstance(a, Integral)
             if not (integer and 0 <= a < self.h_max):
                 raise InfeasibleDecisionError(
                     f"decision {a} at stage {i + 1} is not an integer in 0..{self.h_max - 1}",
                     stage=i + 1,
                 )
-        object.__setattr__(self, "levels", tuple(map(int, levels)) if cast else levels)
+        object.__setattr__(self, "levels", tuple(map(int, levels)))
 
     def __len__(self):
         return len(self.levels)
@@ -421,13 +422,14 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
     """
     if len(ds) != n:
         raise InfeasibleDecisionError(f"need {n} decisions, got {len(ds)}")
+    # no tree on n keys reaches a level above n; refusing one keeps states to n+1 bits
     s = prev = 0  # prev: the level of key stage-1, states.precdec(s)
     stack = []
     for stage, a in enumerate(ds.levels, start=1):
-        if not states.is_feasible(s, a):
+        if a > n or not states.is_feasible(s, a):
             raise InfeasibleDecisionError(
                 f"decision {a} infeasible at stage {stage} "
-                f"(state {states.state_to_bits(s, ds.h_max)})",
+                f"(state {states.state_to_bits(s, n + 1)})",
                 stage=stage,
             )
         # keys deeper than a leave the rightmost path: with the gap they
@@ -444,7 +446,7 @@ def build_tree_from_decisions(ds: DecisionSequence, n: int) -> Node:
         prev = a
     if stack and not states.is_terminal_valid(s):
         raise InfeasibleDecisionError(
-            f"final state {states.state_to_bits(s, ds.h_max)} is not a valid "
+            f"final state {states.state_to_bits(s, n + 1)} is not a valid "
             "rightmost path",
             stage=n + 1,
         )

@@ -74,7 +74,6 @@ _PAIR_BLOCK = 64
 # A floored pass keeps the next values of its lowest stages that fit in this
 # many bytes, and _thin_margins recomputes only the stages above them.
 _ROW_BUDGET = 8 << 20
-# The fields of a key node and of a gap node in a solution's JSON tree.
 _KEY_FIELDS, _GAP_FIELDS = {"key", "level", "left", "right"}, {"gap", "level"}
 
 
@@ -117,11 +116,9 @@ class Solution:
 
 
 def solution_from_obj(obj: dict) -> "Solution":
-    """Rebuild a Solution from its JSON object form: its tree is the one
-    build_tree_from_decisions builds from 'decisions' and 'h_max', which
-    'tree' must spell node for node, read from an explicit stack. A missing
-    or ill-typed field, refused decisions, or the first tree node that
-    differs, named by its key or gap and level, raise InstanceError."""
+    """Rebuild a Solution from its JSON object form: 'tree', read from an explicit
+    stack, must spell the tree build_tree_from_decisions builds from 'decisions' and
+    'h_max'. Any other input raises InstanceError, naming the first differing node."""
     if not isinstance(obj, dict) or not {"wpl", "decisions", "h_max", "tree"} <= obj.keys():
         raise InstanceError("solution needs 'wpl', 'decisions', 'h_max' and 'tree'")
     if not isinstance(obj["decisions"], list):

@@ -140,6 +140,22 @@ def test_instance_refuses_unconvertible_weights(weight):
         ProblemInstance(beta=(1,), alpha=(0, weight))
 
 
+def test_instance_builds_without_fraction_slots(monkeypatch):
+    """On a Python whose Fraction keeps its parts elsewhere than the slots
+    _numerator and _denominator, every weight goes through the slow path
+    and the instance is the same, refusals included."""
+    from nearheight import instance
+
+    weights = (Fraction(3, 16), Fraction(np.int64(5)), 2, np.int64(7), "x")
+    fast = ProblemInstance(beta=weights[:4], alpha=(0,) * 5)
+    monkeypatch.setattr(instance, "_SLOTTED", None)
+    slow = ProblemInstance(beta=weights[:4], alpha=(0,) * 5)
+    assert slow == fast and slow.integer_weights() == fast.integer_weights()
+    assert all(type(w.numerator) is int is type(w.denominator) for w in slow.beta)
+    with pytest.raises(InstanceError, match="beta must hold rational weights"):
+        ProblemInstance(beta=weights, alpha=(0,) * 6)
+
+
 def test_validate_negative_weight():
     assert refusal(beta=(Fraction(-1, 2),), alpha=(0, 0)) == "beta[0] = -1/2 is negative"
 
@@ -395,16 +411,22 @@ def test_build_tree_rejects_invalid_terminal():
         build_tree_from_decisions(DecisionSequence(levels=(0, 2), h_max=3), 2)
 
 
-@pytest.mark.parametrize("h_max", [63, 100])
+@pytest.mark.parametrize("h_max", [63, 100, 10**12])
 def test_build_tree_errors_at_any_width(h_max):
     """Formatting the error message must not raise its own error on a width
-    no table could hold."""
+    no table could hold, nor take time or memory in h_max: the message shows
+    n+1 bits of the state, and a level above n, which would make a state of
+    that many bits, is refused at its stage."""
     with pytest.raises(InfeasibleDecisionError) as exc:
         build_tree_from_decisions(DecisionSequence(levels=(0, 0), h_max=h_max), 2)
     assert exc.value.stage == 2
     with pytest.raises(InfeasibleDecisionError) as exc:
         build_tree_from_decisions(DecisionSequence(levels=(0, 2), h_max=h_max), 2)
     assert exc.value.stage == 3
+    assert "final state 101 " in str(exc.value)
+    with pytest.raises(InfeasibleDecisionError, match="stage 2 \\(state 100\\)") as exc:
+        build_tree_from_decisions(DecisionSequence(levels=(0, h_max - 1), h_max=h_max), 2)
+    assert exc.value.stage == 2
 
 
 @pytest.mark.parametrize("levels, n", [((0,), 2), ((1, 0), 1), ((), 1)])

@@ -983,7 +983,9 @@ def test_solution_reader_checks_levels():
     whose decisions are not its tree's key levels: the decisions (1, 0) of
     beta = (1, 5) with the tree of beta = (5, 1), whose levels are (0, 1).
     Nor is an h_max of 1 or -3, neither of which holds level 1, nor a
-    negative h_max for no keys, nor decisions that form no tree."""
+    negative h_max for no keys, nor decisions that form no tree, at once
+    even with a decision or h_max of 10^12, which the replay never spells
+    out bit by bit; such an h_max over decisions that form a tree is read."""
     zero = (Fraction(0),) * 3
     obj = solve(ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=zero), 0).to_obj()
     swapped = solve(ProblemInstance(beta=(Fraction(5), Fraction(1)), alpha=zero), 0).to_obj()
@@ -994,9 +996,14 @@ def test_solution_reader_checks_levels():
     for bad in (dict(obj, h_max=1), dict(obj, h_max=-3), dict(empty, h_max=-1)):
         with pytest.raises(InstanceError, match="'h_max'"):
             solution_from_obj(bad)
-    for decisions in ([0, 0], [1, 1], [-1, 0]):
+    huge = 10**12
+    for decisions, h_max in (
+        ([0, 0], 2), ([1, 1], 2), ([-1, 0], 2),
+        ([0, 0], huge), ([0, 2], huge), ([huge], huge + 1), ([1, huge], huge + 1),
+    ):
         with pytest.raises(InstanceError, match="'decisions' form no tree"):
-            solution_from_obj(dict(obj, decisions=decisions))
+            solution_from_obj(dict(obj, decisions=decisions, h_max=h_max))
+    assert solution_from_obj(dict(obj, h_max=huge)).h_max == huge
     inst = ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=(1, 1, 1))
     obj = json.loads(json.dumps(solve(inst, 0).to_obj()))
     assert obj["wpl"] == "12"

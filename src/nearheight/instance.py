@@ -3,8 +3,9 @@
 A ProblemInstance is checked once, when it is made, so every instance that
 exists is valid; its weights are Fractions of Python ints. A tree is built
 only from its decision sequence (the in-order key levels), by one replay of
-the decision process of the states module, even when solver.solution_from_obj
-reads one, and rendered as JSON, DOT or text. Also height_bound and generators.
+the decision process of the states module, and rendered as JSON (the only
+tree form solver.solution_from_obj reads), DOT or text, each walked from an
+explicit stack. Also height_bound and generators.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class ProblemInstance:
         """Convert the weights to Fractions, keeping each exact Fraction as it
         is. Weights or keys given as one str or bytes, a bytearray,
         memoryview, mapping or set, a bool or unconvertible weight, or any
-        problem that validate() lists raise InstanceError."""
+        problem that require_valid() finds raise InstanceError."""
         for name, items in (("beta", "weights"), ("alpha", "weights"), ("keys", "strings")):
             value = getattr(self, name)
             if isinstance(value, _NOT_A_SEQUENCE):
@@ -133,13 +134,11 @@ class ProblemInstance:
     def n(self) -> int:
         return len(self.beta)
 
-    def validate(self) -> list:
-        """The violation messages; construction raises them, so this is []."""
+    def require_valid(self):
+        """Raise InstanceError listing every problem of the fields; construction calls it."""
         problems = []
         if len(self.alpha) != len(self.beta) + 1:
-            problems.append(
-                f"alpha length must be n+1 = {len(self.beta) + 1}, got {len(self.alpha)}"
-            )
+            problems.append(f"alpha length must be n+1 = {self.n + 1}, got {len(self.alpha)}")
         # the weights are Fractions, whose sign is the numerator's
         for name in ("beta", "alpha"):
             for i, w in enumerate(getattr(self, name)):
@@ -147,9 +146,7 @@ class ProblemInstance:
                     problems.append(f"{name}[{i}] = {w} is negative")
         if self.keys is not None:
             if len(self.keys) != len(self.beta):
-                problems.append(
-                    f"keys length must be n = {len(self.beta)}, got {len(self.keys)}"
-                )
+                problems.append(f"keys length must be n = {self.n}, got {len(self.keys)}")
             elif not all(isinstance(k, str) for k in self.keys):
                 problems.append("keys must be strings")
             else:
@@ -159,11 +156,6 @@ class ProblemInstance:
                             f"keys not strictly increasing at position {i}: "
                             f"{self.keys[i - 1]!r} !< {self.keys[i]!r}"
                         )
-        return problems
-
-    def require_valid(self):
-        """Raise InstanceError with validate()'s messages; construction does."""
-        problems = self.validate()
         if problems:
             raise InstanceError("; ".join(problems))
 
@@ -328,16 +320,18 @@ def weighted_path_length(root: Node, inst: ProblemInstance, *, weights=None) -> 
 
 
 def tree_to_obj(root: Node) -> dict:
-    """The JSON object form of a tree, by recursion: json.dumps and
-    json.loads recurse per level too, so depth is limited by JSON anyway."""
-    if isinstance(root, Internal):
-        return {
-            "key": root.key,
-            "level": root.level,
-            "left": tree_to_obj(root.left),
-            "right": tree_to_obj(root.right),
-        }
-    return {"gap": root.gap, "level": root.level}
+    """The JSON object form of a tree, built from an explicit stack: fields
+    key, level, left, right or gap, level, in that order."""
+    top = {}
+    stack = [(root, top, "tree")]  # (node, the object that holds it, its field there)
+    while stack:
+        nd, holder, field = stack.pop()
+        if type(nd) is Internal:
+            holder[field] = obj = {"key": nd.key, "level": nd.level}
+            stack += ((nd.right, obj, "right"), (nd.left, obj, "left"))
+        else:
+            holder[field] = {"gap": nd.gap, "level": nd.level}
+    return top["tree"]
 
 
 def tree_to_dot(root: Node, keys: Optional[tuple] = None) -> str:

@@ -36,7 +36,6 @@ from .instance import (
     DecisionSequence,
     InfeasibleDecisionError,
     InstanceError,
-    Internal,
     Node,
     ProblemInstance,
     build_tree_from_decisions,
@@ -74,7 +73,6 @@ _PAIR_BLOCK = 64
 # A floored pass keeps the next values of its lowest stages that fit in this
 # many bytes, and _thin_margins recomputes only the stages above them.
 _ROW_BUDGET = 8 << 20
-_KEY_FIELDS, _GAP_FIELDS = {"key", "level", "left", "right"}, {"gap", "level"}
 
 
 class InfeasibleHeightError(ValueError):
@@ -116,9 +114,14 @@ class Solution:
 
 
 def solution_from_obj(obj: dict) -> "Solution":
-    """Rebuild a Solution from its JSON object form: 'tree', read from an explicit
-    stack, must spell the tree build_tree_from_decisions builds from 'decisions' and
-    'h_max'. Any other input raises InstanceError, naming the first differing node."""
+    """Read the JSON object that Solution.to_obj writes, and nothing else:
+    rebuild the tree from 'decisions' and 'h_max', parse 'wpl', and require
+    obj to equal the result's to_obj(), walked from an explicit stack: the
+    same fields, and every other value (the decisions, read as ints above,
+    as one list) of the same JSON type and value. So 'wpl' is checked for
+    form only; its value needs the instance: weighted_path_length(sol.tree,
+    inst). Any other input raises InstanceError naming the first differing
+    field and, in the tree, its node."""
     if not isinstance(obj, dict) or not {"wpl", "decisions", "h_max", "tree"} <= obj.keys():
         raise InstanceError("solution needs 'wpl', 'decisions', 'h_max' and 'tree'")
     if not isinstance(obj["decisions"], list):
@@ -132,23 +135,25 @@ def solution_from_obj(obj: dict) -> "Solution":
         tree = build_tree_from_decisions(decisions, len(levels))
     except InfeasibleDecisionError as e:
         raise InstanceError(f"'decisions' form no tree: {e}") from e
-    stack = [(obj["tree"], tree)]
+    sol = Solution(cost=parse_weight(obj["wpl"]), decisions=decisions, tree=tree)
+    stack = [(obj, sol.to_obj(), None, None)]  # (read, written, the object holding it, field)
     while stack:
-        node, want = stack.pop()
-        name, fields = ("key", _KEY_FIELDS) if type(want) is Internal else ("gap", _GAP_FIELDS)
-        label = getattr(want, name)
-        if not isinstance(node, dict) or node.keys() != fields:
-            problem = f"must be a JSON object with exactly the fields {sorted(fields)}"
-        elif not type(node[name]) is type(node["level"]) is int or (
-            node[name] != label or node["level"] != want.level
-        ):
-            problem = f"has {name} {node[name]!r} and level {node['level']!r}"
-        else:
-            if name == "key":
-                stack += ((node["right"], want.right), (node["left"], want.left))
+        got, want, holder, field = stack.pop()
+        if type(want) is not dict:
+            if type(got) is type(want) and got == want:
+                continue
+            problem = f"has {field!r} {got!r}, not {want!r}"
+        elif type(got) is dict and got.keys() == want.keys():
+            stack += [(got[k], want[k], want, k) for k in reversed(want)]
             continue
-        raise InstanceError(f"tree node of {name} {label} at level {want.level} {problem}")
-    return Solution(cost=parse_weight(obj["wpl"]), decisions=decisions, tree=tree)
+        else:
+            holder, problem = want, f"must be a JSON object with exactly the fields {sorted(want)}"
+        where = "solution"
+        if "level" in holder:  # a tree node, whose first field is "key" or "gap"
+            name = next(iter(holder))
+            where = f"tree node of {name} {holder[name]} at level {holder['level']}"
+        raise InstanceError(f"{where} {problem}")
+    return sol
 
 
 def backward_pass(inst: ProblemInstance, h_max: int) -> StageTables:

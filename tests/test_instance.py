@@ -88,7 +88,10 @@ def test_format_weight_lowest_terms():
 
 
 def test_validate_good_shape(golden_instance):
-    assert golden_instance.validate() == []
+    """The golden instance's fields make the same instance again:
+    construction finds no problem in them."""
+    again = ProblemInstance(beta=golden_instance.beta, alpha=golden_instance.alpha)
+    assert again == golden_instance
 
 
 def refusal(**fields) -> str:
@@ -173,7 +176,7 @@ def test_validate_names_the_problem(beta, alpha, keys, problem):
 
 
 def test_construction_joins_every_problem():
-    """Construction raises every message validate() would list, in its
+    """Construction raises every problem require_valid() finds, in its
     order, joined by '; '."""
     problem = refusal(beta=(-1, 2), alpha=(0, Fraction(-1, 3)), keys=("b", "a"))
     assert problem == (
@@ -187,7 +190,7 @@ def test_construction_refuses_exactly_the_invalid_fields(data):
     """Over random weights (negatives included), gap counts and keys
     (unsorted, repeated, of the wrong count or not strings), construction
     raises InstanceError exactly when the fields are invalid, and any
-    instance it returns has validate() == []."""
+    instance it returns is made again from its own fields."""
     weight = st.integers(-1, 3) | st.fractions(-1, 2, max_denominator=4).map(abs)
     beta = data.draw(st.lists(weight, max_size=4))
     n = len(beta)
@@ -214,7 +217,7 @@ def test_construction_refuses_exactly_the_invalid_fields(data):
     except InstanceError:
         assert not valid
     else:
-        assert valid and inst.validate() == []
+        assert valid and ProblemInstance(beta=inst.beta, alpha=inst.alpha, keys=inst.keys) == inst
 
 
 @pytest.mark.parametrize(
@@ -222,7 +225,7 @@ def test_construction_refuses_exactly_the_invalid_fields(data):
 )
 def test_instance_refuses_one_string_as_keys(keys):
     """A str or bytes is one label, not a sequence of them: split into its
-    characters, "ab" would pass validate() as the keys ('a', 'b'). Nor are
+    characters, "ab" would pass require_valid() as the keys ('a', 'b'). Nor are
     a bytearray, a dict (read as its keys) or a set (in hash order) a
     sequence of keys."""
     what = "string" if isinstance(keys, (str, bytes)) else type(keys).__name__
@@ -668,8 +671,14 @@ def test_instance_json_keys():
 
 
 def _solution_obj(tree_obj, levels, h_max):
-    """A solution object around a JSON tree; the reader ignores 'wpl'."""
-    return {"wpl": "0", "decisions": list(levels), "h_max": h_max, "tree": tree_obj}
+    """A solution object around a JSON tree, with the height and h_min of the
+    tree rebuilt from levels; the reader checks 'wpl' for its form only."""
+    levels = list(levels)
+    tree = build_tree_from_decisions(DecisionSequence(levels=levels, h_max=h_max), len(levels))
+    return {
+        "wpl": "0", "height": tree_height(tree), "h_min": h_min(len(levels)),
+        "h_max": h_max, "decisions": levels, "tree": tree_obj,
+    }
 
 
 def test_tree_json_round_trip():
@@ -696,8 +705,9 @@ def test_tree_reader_refuses_malformed_nodes(obj, message):
 
 def test_tree_reader_takes_deep_trees():
     """A right spine of 3000 keys, far deeper than Python's recursion limit,
-    is read whole; a wrong level at its deepest node is refused with
-    InstanceError."""
+    is read whole, written back with to_obj() and read again; a wrong level
+    at its deepest node is refused with InstanceError. The round trip is
+    checked by the reader, not with ==, which recurses once per level."""
     n = 3000
     obj = {"gap": n, "level": n}
     for key in range(n, 0, -1):
@@ -705,11 +715,13 @@ def test_tree_reader_takes_deep_trees():
         obj = {"key": key, "level": key - 1, "left": left, "right": obj}
     sol = solution_from_obj(_solution_obj(obj, range(n), n))
     assert key_levels(sol.tree) == tuple(range(n)) and tree_height(sol.tree) == n
+    again = solution_from_obj(sol.to_obj())
+    assert again.decisions == sol.decisions and key_levels(again.tree) == tuple(range(n))
     node = obj
     while "key" in node:
         node = node["right"]
     node["level"] = 0
-    with pytest.raises(InstanceError, match=f"gap {n} at level {n} has gap {n} and level 0"):
+    with pytest.raises(InstanceError, match=f"gap {n} at level {n} has 'level' 0, not {n}$"):
         solution_from_obj(_solution_obj(obj, range(n), n))
 
 

@@ -144,12 +144,12 @@ def test_numpy_weights_read_as_python_ints():
 
 
 def test_instance_is_validated_once_where_it_is_made(monkeypatch, golden_instance):
-    """Construction runs validate() once; the solvers and the oracles take
-    the instance as valid and run it no more."""
+    """Construction runs require_valid() once; the solvers and the oracles
+    take the instance as valid and run it no more."""
     calls = []
-    validate = ProblemInstance.validate
+    require_valid = ProblemInstance.require_valid
     monkeypatch.setattr(
-        ProblemInstance, "validate", lambda inst: calls.append(inst) or validate(inst)
+        ProblemInstance, "require_valid", lambda inst: calls.append(inst) or require_valid(inst)
     )
     inst = ProblemInstance(beta=golden_instance.beta, alpha=golden_instance.alpha)
     assert calls == [inst]
@@ -990,7 +990,7 @@ def test_solution_reader_checks_levels():
     obj = solve(ProblemInstance(beta=(Fraction(1), Fraction(5)), alpha=zero), 0).to_obj()
     swapped = solve(ProblemInstance(beta=(Fraction(5), Fraction(1)), alpha=zero), 0).to_obj()
     assert (obj["decisions"], swapped["decisions"]) == ([1, 0], [0, 1])
-    with pytest.raises(InstanceError, match="key 2 at level 0 has key 1"):
+    with pytest.raises(InstanceError, match="key 2 at level 0 has 'key' 1, not 2$"):
         solution_from_obj(dict(obj, tree=swapped["tree"]))
     empty = solve(ProblemInstance(beta=(), alpha=(Fraction(1),)), 0).to_obj()
     for bad in (dict(obj, h_max=1), dict(obj, h_max=-3), dict(empty, h_max=-1)):
@@ -1010,11 +1010,11 @@ def test_solution_reader_checks_levels():
     gap2 = obj["tree"]["right"]
     assert gap2 == {"gap": 2, "level": 1}
     gap2["level"] = 0
-    with pytest.raises(InstanceError, match="gap 2 at level 1 has gap 2 and level 0"):
+    with pytest.raises(InstanceError, match="gap 2 at level 1 has 'level' 0, not 1$"):
         solution_from_obj(obj)
     gap2["level"] = 1
     obj["tree"]["level"] = 1
-    with pytest.raises(InstanceError, match="key 2 at level 0 has key 2 and level 1"):
+    with pytest.raises(InstanceError, match="key 2 at level 0 has 'level' 1, not 0$"):
         solution_from_obj(obj)
 
 
@@ -1022,7 +1022,7 @@ def test_solution_reader_needs_both_children():
     """An internal node without its left or right child is refused with
     InstanceError, not a KeyError."""
     for tree in ({"key": 1, "level": 0}, {"key": 1, "level": 0, "left": {"gap": 0, "level": 1}}):
-        obj = {"wpl": "2", "decisions": [0], "h_max": 1, "tree": tree}
+        obj = {"wpl": "2", "height": 1, "h_min": 1, "decisions": [0], "h_max": 1, "tree": tree}
         with pytest.raises(InstanceError, match="key 1 at level 0 must be a JSON object"):
             solution_from_obj(obj)
 
@@ -1030,22 +1030,35 @@ def test_solution_reader_needs_both_children():
 def test_solution_reader_needs_every_field():
     """A solution object that is not a JSON object, lacks a field, or has
     decisions that are not an array is refused with InstanceError, not a
-    TypeError or KeyError."""
+    TypeError or KeyError. So is one that to_obj() would not write: a
+    height or h_min other than the rebuilt tree's, an extra field, or a
+    wpl not in lowest terms."""
     inst = ProblemInstance(beta=(Fraction(1),), alpha=(Fraction(1),) * 2)
     obj = solve(inst, 0).to_obj()
+    assert (obj["wpl"], obj["height"], obj["h_min"]) == ("3", 1, 1)
     bad = [[obj], dict(obj, decisions=5), dict(obj, decisions="0")]
-    for field in ("wpl", "decisions", "h_max", "tree"):
+    for field in obj:
         bad.append({k: v for k, v in obj.items() if k != field})
     for case in bad:
         with pytest.raises(InstanceError):
+            solution_from_obj(case)
+    edits = [
+        (dict(obj, height=99), "solution has 'height' 99, not 1$"),
+        (dict(obj, h_min=-5), "solution has 'h_min' -5, not 1$"),
+        (dict(obj, extra=1), "solution must be a JSON object with exactly the fields"),
+        (dict(obj, wpl="2/4"), "solution has 'wpl' '2/4', not '1/2'$"),
+        (dict(obj, wpl="007"), "solution has 'wpl' '007', not '7'$"),
+    ]
+    for case, message in edits:
+        with pytest.raises(InstanceError, match=message):
             solution_from_obj(case)
     assert solution_from_obj(obj).to_obj() == obj
 
 
 def test_solution_reader_refuses_booleans():
     """JSON true and false are not integers: as a key, gap, level,
-    decision or h_max they are refused, not read as 1 and 0. Nor is a
-    float level, even one equal to the rebuilt node's."""
+    decision, height or h_max they are refused, not read as 1 and 0. Nor is
+    a float level, even one equal to the rebuilt node's."""
     inst = ProblemInstance(beta=(Fraction(1),), alpha=(Fraction(1),) * 2)
     obj = solve(inst, 0).to_obj()
     assert obj["tree"] == {
@@ -1053,12 +1066,13 @@ def test_solution_reader_refuses_booleans():
     }
     edits = [
         (lambda o: o, "h_max", True, "h_max must be an integer"),
+        (lambda o: o, "height", True, "solution has 'height' True, not 1$"),
         (lambda o: o["decisions"], 0, False, "decision must be an integer"),
-        (lambda o: o["tree"], "key", True, "key 1 at level 0 has key True"),
-        (lambda o: o["tree"], "level", False, "key 1 at level 0 has key 1 and level False"),
-        (lambda o: o["tree"]["right"], "gap", True, "gap 1 at level 1 has gap True"),
-        (lambda o: o["tree"]["left"], "level", True, "gap 0 at level 1 has gap 0 and level True"),
-        (lambda o: o["tree"]["left"], "level", 1.0, "gap 0 at level 1 has gap 0 and level 1.0"),
+        (lambda o: o["tree"], "key", True, "key 1 at level 0 has 'key' True, not 1$"),
+        (lambda o: o["tree"], "level", False, "key 1 at level 0 has 'level' False, not 0$"),
+        (lambda o: o["tree"]["right"], "gap", True, "gap 1 at level 1 has 'gap' True, not 1$"),
+        (lambda o: o["tree"]["left"], "level", True, "gap 0 at level 1 has 'level' True, not 1$"),
+        (lambda o: o["tree"]["left"], "level", 1.0, r"gap 0 at level 1 has 'level' 1\.0, not 1$"),
     ]
     for node, field, value, message in edits:
         bad = json.loads(json.dumps(obj))
@@ -1083,11 +1097,11 @@ def test_solution_reader_refuses_relabeled_trees(golden_instance):
             stack += [node["left"], node["right"]]
         else:
             node["gap"] += 10
-    with pytest.raises(InstanceError, match="key 3 at level 0 has key 13"):
+    with pytest.raises(InstanceError, match="key 3 at level 0 has 'key' 13, not 3$"):
         solution_from_obj(relabeled)
     assert obj["tree"]["right"]["right"] == {"gap": 4, "level": 2}
     edits = [
-        (lambda t: t["right"]["right"], "gap", 3, "gap 4 at level 2 has gap 3"),
+        (lambda t: t["right"]["right"], "gap", 3, "gap 4 at level 2 has 'gap' 3, not 4$"),
         (lambda t: t["right"]["right"], "key", 4, "gap 4 at level 2 must be a JSON object"),
         (lambda t: t, "weight", "1", "key 3 at level 0 must be a JSON object"),
     ]

@@ -6,16 +6,20 @@ solve() runs one NumPy kernel; each fact about it is stated once, where
 the code that keeps it lives:
 
 - _kernel_pass: the grid shift K, the "int32", "int64", "int64-floored"
-  and "object" paths, the rounding bound, and when a pass keeps its rows;
+  and "object" paths, the rounding bound, when a pass keeps its rows, and
+  its bounds as integers over the common denominator d;
 - _KernelTables: the move layout and each move's pair cost, which only
   _kernel_tables builds;
+- _weight_table: the one conversion of a pass's weights, floored or exact,
+  into the pass's dtype, which the pass and its certificate both read;
 - _stages: one stage's relaxation, the blocks of pair costs and the
   gather mode;
 - _backward: the policy, the packed low byte of each state below 2^(h-1),
   and the rows of the lowest stages that fit;
 - _walk: the level in each policy byte, and the one move of every other state;
 - _thin_margins: the certificate of a floored pass;
-- solve(): the height bound, the refusals and the cost check.
+- solve(): the height bound, the refusals and the cost check, which
+  compares integers over d.
 
 The dict-based backward_pass/forward_pass is the reference the tests
 compare the kernel with; solve() never calls it. Both break value ties
@@ -287,27 +291,44 @@ def _kernel_tables(h_max: int) -> _KernelTables:
     )
 
 
-def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
-    """Packed backward pass over all 2^h_max states, stage n down to nu_lo.
+def _weight_table(alpha, beta, dtype, shift: int = 0) -> np.ndarray:
+    """The weights of one pass as a 3 x n array of its dtype, with rows
+    alpha[:n], beta and 1, each weight floored to a multiple of 2^shift and
+    counted in units of it. The pass converts its weights here once; the
+    weight alpha[n] of gap n stays a Python int, alpha[n] >> shift."""
+    n = len(beta)
+    alpha = alpha[:n]
+    if shift:
+        alpha, beta = [w >> shift for w in alpha], [w >> shift for w in beta]
+    return np.array((alpha, beta, [1] * n), dtype)
+
+
+def _stages(table, alpha_n: int, h_max: int, dead: int, nu_lo: int = 1):
+    """Packed backward pass over all 2^h_max states, stage n down to nu_lo,
+    on the weight table of _weight_table, in its dtype, and the weight
+    alpha_n of gap n, a Python int.
 
     Yields (nu, v, best) once per stage nu, after its relaxation: v holds
     the packed next values V_{nu+1} with the level bits cleared, and best
-    the packed values and levels of stage nu. Both are buffers that the
-    next stage overwrites. Slot 2^h_max of v stays dead, the successor of
-    states without a shallow level. The kernel evaluates every state of the
-    width, reachable or not, which leaves the values of reachable states
-    unchanged. Values at or above `dead`, and the dead slot, stand for
-    infinity. A range that ends at nu_lo > 1 leaves stages nu_lo-1..1 out:
-    _thin_margins recomputes only the stages above the rows _backward kept.
+    the packed values and levels of stage nu at the states below
+    2^(h_max-1), the only ones with a choice of level (see _walk). Both are
+    views of buffers that the next stage overwrites. Slot 2^h_max of v
+    stays dead, the successor of states without a shallow level. The
+    kernel evaluates every state of the width, reachable or not, which
+    leaves the values of reachable states unchanged. Values at or above
+    `dead`, and the dead slot, stand for infinity. A range that ends at
+    nu_lo > 1 leaves stages nu_lo-1..1 out: _thin_margins recomputes only
+    the stages above the rows _backward kept.
 
     Each move is priced from its stage's row of pair costs: at the first
     stage of each block of _PAIR_BLOCK stages, one matrix product of the
-    block's (alpha, beta, 1) rows with coef of _kernel_tables, cast to dtype,
-    gives the block's rows. A stage relaxes the moves of _kernel_tables in
-    one gather of the next values and one of its row: the shallow moves give
-    each state s >= 2^(A-1) its first candidate, and one segmented minimum
-    gives each state below 2^(A-1) its best level below A. Each deep level
-    a >= A is one contiguous block of 2^a states at pair (a+1, a+1), column
+    block's columns of the table, already in the pass's dtype, with coef of
+    _kernel_tables gives the block's rows; no weight is converted per block.
+    A stage relaxes the moves of _kernel_tables in one gather of the next
+    values and one of its row: the shallow moves give each state
+    s >= 2^(A-1) its first candidate, and one segmented minimum gives each
+    state below 2^(A-1) its best level below A. Each deep level a >= A is
+    one contiguous block of 2^a states at pair (a+1, a+1), column
     (a+1)(h_max+2). With the mask of best into v, that is 5 + 2(h_max-A)
     NumPy calls per stage, and 6 + 2(h_max-A) with what the caller keeps.
 
@@ -318,7 +339,8 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
     h_max = 13 made an int32 gather of the 8439 moves take 7.3 µs against
     5.4 µs with wrap (int64: 7.0 against 6.7 µs).
     """
-    n = len(beta)
+    n = table.shape[1]
+    dtype = table.dtype
     size = 1 << h_max
     kt = _kernel_tables(h_max)
     pair = kt.pair.astype(np.intp)
@@ -327,12 +349,12 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
 
     v = np.full(size + 1, dead << _LEVEL_BITS, dtype=dtype)
     for k in range(1, h_max + 1):
-        v[(1 << k) - 1] = (k * alpha[n]) << _LEVEL_BITS  # levels 0..k-1 occupied
+        v[(1 << k) - 1] = (k * alpha_n) << _LEVEL_BITS  # levels 0..k-1 occupied
     # the best of every state, then the segments: the gathers fill moves[low:]
     moves = np.empty(low + len(pair), dtype=dtype)
     move_cost = np.empty(len(pair), dtype=dtype)
     gathered, best, seg_moves = moves[low:], moves[:size], moves[size:]
-    low_best = best[:low]
+    low_best, choice_best = best[:low], best[: size >> 1]
     # the mask that clears the level bits of best into v, as a scalar of the
     # pass's dtype (a Python int on an "object" pass): NumPy 2 converts a
     # Python-int operand of an int64 array on every call
@@ -350,9 +372,7 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
     for nu in range(n, nu_lo - 1, -1):
         row = (nu - 1) % _PAIR_BLOCK
         if nu == n or row == _PAIR_BLOCK - 1:
-            first = nu - 1 - row
-            weights = np.array((alpha[first:nu], beta[first:nu], [1] * (row + 1)), dtype)
-            pair_costs = weights.T @ coef
+            pair_costs = table[:, nu - 1 - row : nu].T @ coef
         costs = pair_costs[row]
         v.take(kt.succ, out=gathered, mode="wrap")
         costs.take(pair, out=move_cost, mode="wrap")
@@ -361,12 +381,13 @@ def _stages(alpha, beta, h_max: int, dtype, dead: int, nu_lo: int = 1):
         for succ_v, b, c, deep_pair in deep:
             np.add(succ_v, costs[deep_pair], out=c)
             np.minimum(b, c, out=b)
-        yield nu, v, best
+        yield nu, v, choice_best
         np.bitwise_and(best, value_bits, out=live_v)
 
 
-def _backward(alpha, beta, h_max: int, dtype, dead: int, kept: int = 0):
-    """The pass of _stages, and what it keeps of its stages.
+def _backward(table, alpha_n: int, h_max: int, dead: int, kept: int = 0):
+    """The pass of _stages on the weight table of _weight_table and the
+    weight alpha_n of gap n, and what it keeps of its stages.
 
     Returns V_1(0), the int8 policy of every stage over the states below
     2^(h_max-1), and the next values v of the lowest `kept` stages as a
@@ -376,19 +397,26 @@ def _backward(alpha, beta, h_max: int, dtype, dead: int, kept: int = 0):
     _walk computes from the state, so the policy is n x 2^(h_max-1).
     A pass in a machine-integer dtype, int32 or int64, stores the low byte
     of each packed best, the level in its low _LEVEL_BITS bits and value
-    bits above, which _walk masks out: one plain int8 write. Masking the
-    level out by a Python int instead made int32 passes 10-15% slower than
-    int64 ones at n = 10..80. Python ints do not fit int8, so the object
-    pass stores the level alone. A dead V_1(0) raises InfeasibleHeightError.
+    bits above, which _walk masks out: one plain int8 write per stage from
+    the view that _stages yields. Masking the level out by a Python int
+    instead made int32 passes 10-15% slower than int64 ones at n = 10..80,
+    and np.copyto(..., casting="unsafe") took 0.50 µs a row where the plain
+    write takes 0.32 µs. Python ints do not fit int8, so the object pass
+    stores the level alone, and keeps no rows; the dtype picks one of the
+    two loops once per pass.
+    A dead V_1(0) raises InfeasibleHeightError.
     """
-    n = len(beta)
-    half = 1 << (h_max - 1)
-    policy = np.empty((n, half), np.int8)
-    rows = np.empty((kept, (1 << h_max) + 1), dtype)
-    for nu, v, best in _stages(alpha, beta, h_max, dtype, dead):
-        policy[nu - 1] = best[:half] if dtype is not object else best[:half] & _LEVEL_MASK
-        if nu <= kept:
-            rows[nu - 1] = v
+    policy = np.empty((table.shape[1], 1 << (h_max - 1)), np.int8)
+    rows = np.empty((kept, (1 << h_max) + 1), table.dtype)
+    stages = _stages(table, alpha_n, h_max, dead)
+    if table.dtype == object:
+        for nu, _, best in stages:
+            policy[nu - 1] = best & _LEVEL_MASK
+    else:
+        for nu, v, best in stages:
+            policy[nu - 1] = best
+            if nu <= kept:
+                rows[nu - 1] = v
     value = int(best[0]) >> _LEVEL_BITS
     if value >= dead:
         raise InfeasibleHeightError("no feasible tree within the height bound")
@@ -417,9 +445,11 @@ def _walk(policies):
     return levels, visited
 
 
-def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
-    """Which walked decisions of a pass on the weights (alpha, beta) have a
-    margin too thin to certify them, as n booleans.
+def _thin_margins(table, alpha_n: int, h_max: int, dead: int, visited, rows):
+    """Which walked decisions of a pass on the int64 weight table of
+    _weight_table and the weight alpha_n of gap n have a margin too thin to
+    certify them, as n booleans. It reads the same table as the pass: the
+    weights are not converted again.
 
     The candidates of stage nu read V_{nu+1} at the successor
     transition(s, a) of its visited state s under every level a, the dead
@@ -432,7 +462,7 @@ def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
     most (E_nu+1) << _LEVEL_BITS above it, with E_nu = (h_max+1)(2(n-nu)+3)
     the rounding bound of stage nu.
     """
-    n = len(beta)
+    n = table.shape[1]
     s = np.array(visited)[:, None]
     a = np.arange(h_max)
     p = np.frexp(s)[1] - 1  # the top set bit, -1 for 0
@@ -441,22 +471,24 @@ def _thin_margins(alpha, beta, h_max: int, dead: int, visited, rows):
     k = len(rows)
     cand = np.empty(succ.shape, np.int64)
     cand[:k] = np.take_along_axis(rows, succ[:k], axis=1)
-    for nu, v, _ in _stages(alpha, beta, h_max, np.int64, dead, k + 1) if k < n else ():
+    for nu, v, _ in _stages(table, alpha_n, h_max, dead, k + 1) if k < n else ():
         v.take(succ[nu - 1], out=cand[nu - 1], mode="wrap")
-    alpha_nu, beta_nu = np.array(alpha[:n])[:, None], np.array(beta)[:, None]
+    alpha_nu, beta_nu = table[0, :, None], table[1, :, None]
     cand += (((1 + np.maximum(p, a)) * alpha_nu + (a + 1) * beta_nu) << _LEVEL_BITS) + a
     cand -= cand.min(axis=1, keepdims=True)
     e_nu = (h_max + 1) * (2 * (n - np.arange(n)[:, None]) + 1)
     return np.count_nonzero(cand <= (e_nu + 1) << _LEVEL_BITS, axis=1) > 1
 
 
-def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSequence, str]:
+def _kernel_pass(weights, h_max: int) -> Tuple[int, int, DecisionSequence, str]:
     """Backward and forward pass over all 2^h_max states, in NumPy, on the
     integer weights (d, alpha, beta) of ProblemInstance.integer_weights().
 
-    Returns (cost, error, decisions, path): the optimal cost lies in
-    [cost, cost + error], and error is 0 unless the path is "int64-floored".
-    Values are integers over the common denominator d.
+    Returns (low, error, decisions, path), low and error integers over the
+    common denominator d: the optimal cost lies in [low/d, (low + error)/d],
+    and error is 0 unless the path is "int64-floored". Each pass converts
+    its weights, floored or exact, once, into the table of _weight_table
+    in the pass's dtype, which its stages and _thin_margins read.
 
     One pass runs on the weights floored to multiples of 2^K, with K from
     _grid_bits, and the walk follows its policy. K = 0 when every packed
@@ -484,7 +516,7 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     A width outside 1..states.TABLE_MAX_WIDTH, or a policy above
     states.POLICY_MAX_BYTES, raises ValueError before any table is built.
     """
-    denom, alpha, beta = weights
+    _, alpha, beta = weights
     n = len(beta)
     st.check_policy_size(n, h_max)
     total = sum(alpha) + sum(beta)
@@ -492,24 +524,23 @@ def _kernel_pass(weights, h_max: int) -> Tuple[Fraction, Fraction, DecisionSeque
     error = 0 if exact else (h_max + 1) * (2 * n + 1)  # E_1
     slack = error + 2 if error else 1
     shift = _grid_bits(total, h_max, slack, _INT64_MAX)
-    floored = (alpha, beta)
-    if shift:
-        floored = [w >> shift for w in alpha], [w >> shift for w in beta]
     dead = (h_max + 1) * (total >> shift) + slack
     kept = min(n, _ROW_BUDGET // (8 * ((1 << h_max) + 1))) if shift else 0
     dtype, path = np.int64, "int64-floored" if shift else "int64"
     if _grid_bits(total, h_max, 1, _INT32_MAX) == 0:
         dtype, path = np.int32, "int32"
-    value, policies, rows = _backward(*floored, h_max, dtype, dead, kept)
+    table, alpha_n = _weight_table(alpha, beta, dtype, shift), alpha[n] >> shift
+    value, policies, rows = _backward(table, alpha_n, h_max, dead, kept)
     levels, visited = _walk(policies)
     del policies  # before a certificate pass allocates its own tables
-    if shift and _thin_margins(*floored, h_max, dead, visited, rows).any():
+    if shift and _thin_margins(table, alpha_n, h_max, dead, visited, rows).any():
         del rows  # the exact rerun keeps nothing of the floored pass
-        value, policies, _ = _backward(alpha, beta, h_max, object, (h_max + 1) * total + 1)
+        exact_table = _weight_table(alpha, beta, object)
+        value, policies, _ = _backward(exact_table, alpha[n], h_max, (h_max + 1) * total + 1)
         levels = _walk(policies)[0]
         shift, error, path = 0, 0, "object"
     ds = DecisionSequence(levels=tuple(levels), h_max=h_max)
-    return Fraction(value << shift, denom), Fraction(error << shift, denom), ds, path
+    return value << shift, error << shift, ds, path
 
 
 # ---------------------------------------------------------------------------
@@ -524,22 +555,25 @@ def solve(inst: ProblemInstance, delta: int = 0) -> Solution:
     policy above states.POLICY_MAX_BYTES, raises ValueError before any table
     is built. The cost is the exact weighted path length of the rebuilt
     tree; RuntimeError is raised unless the kernel's value lies at most its
-    rounding bound below it, a bound that is 0 on the exact paths. The empty
-    instance (bound 0) skips only the kernel.
+    rounding bound below it, a bound that is 0 on the exact paths. The check
+    compares integers over the common denominator d: the kernel's bounds,
+    and the wpl's numerator scaled by d over its denominator, which divides
+    d. The empty instance (bound 0) skips only the kernel.
     """
     n = inst.n
     h_max = height_bound(n, delta)
     weights = inst.integer_weights()
     if n == 0:
-        low, error, ds = Fraction(0), Fraction(0), DecisionSequence(levels=(), h_max=0)
+        low, error, ds = 0, 0, DecisionSequence(levels=(), h_max=0)
     else:
         low, error, ds, _path = _kernel_pass(weights, h_max)
     tree = build_tree_from_decisions(ds, n)
     wpl = weighted_path_length(tree, inst, weights=weights)
-    if not low <= wpl <= low + error:
+    d = weights[0]
+    if not low <= wpl.numerator * (d // wpl.denominator) <= low + error:
         raise RuntimeError(
-            f"solver cost {low} (rounding bound {error}) differs from the "
-            f"tree's wpl {wpl}"
+            f"solver cost {Fraction(low, d)} (rounding bound {Fraction(error, d)}) "
+            f"differs from the tree's wpl {wpl}"
         )
     return Solution(cost=wpl, decisions=ds, tree=tree)
 

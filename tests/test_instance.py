@@ -270,6 +270,10 @@ def test_scaled_refuses_nonpositive_factor(golden_instance, c):
         golden_instance.scaled(c)
 
 
+class _FractionSubclass(Fraction):
+    """A weight type that is a Fraction but not Fraction itself."""
+
+
 @pytest.mark.parametrize(
     "inst",
     [
@@ -291,16 +295,34 @@ def test_scaled_refuses_nonpositive_factor(golden_instance, c):
             beta=tuple(Fraction(1, q) for q in range(1, 1101)),
             alpha=tuple(Fraction(q % 7, q + 1100) for q in range(1101)),
         ),
+        # weights given as int, float, Decimal, "p/q" string and a subclass
+        ProblemInstance(
+            beta=(3, 0.375, Decimal("2.25"), "5/12", _FractionSubclass(7, 9)),
+            alpha=(Decimal("0.1"), "1/3", 2, 0.5, _FractionSubclass(1, 2**65 + 3), "0"),
+        ),
+        # denominators above 2^64, one shared by a key and a gap
+        ProblemInstance(
+            beta=(Fraction(1, 2**64 + 13), Fraction(2**70, 2**80 - 1), Fraction(5, 3 * 2**66)),
+            alpha=(Fraction(7, 2**80 - 1), Fraction(0), Fraction(1, 2**127 - 1), Fraction(9)),
+        ),
     ],
-    ids=["uniform", "zipf", "zero-alpha", "mixed", "all-zero", "repeated", "many-denominators"],
+    ids=[
+        "uniform", "zipf", "zero-alpha", "mixed", "all-zero", "repeated", "many-denominators",
+        "converted", "wide-denominators",
+    ],
 )
 def test_integer_weights_scale_exactly(inst):
+    """The scaling reads each weight's parts from Fraction's slots; they
+    equal the parts that as_integer_ratio gives."""
     d, alpha, beta = inst.integer_weights()
     assert d == math.lcm(*(w.denominator for w in inst.beta + inst.alpha))
     assert len(alpha) == inst.n + 1 and len(beta) == inst.n
     for x, w in zip(alpha + beta, inst.alpha + inst.beta):
         assert type(x) is int
         assert Fraction(x, d) == w
+    parts = [w.as_integer_ratio() for w in inst.alpha + inst.beta]
+    assert d == inst.common_denominator() == math.lcm(*(q for _, q in parts))
+    assert alpha + beta == [p * (d // q) for p, q in parts]
 
 
 def golden_tree():

@@ -240,6 +240,13 @@ def _exact_path(weights, h_max):
     return "int32" if top < 2**31 else "int64"
 
 
+def _kernel_fractions(weights, h_max):
+    """_kernel_pass on the integer weights (d, alpha, beta), with its two
+    bounds, integers over d, read as the Fractions they stand for."""
+    low, error, ds, path = _kernel_pass(weights, h_max)
+    return Fraction(low, weights[0]), Fraction(error, weights[0]), ds, path
+
+
 def test_kernel_matches_reference_pass():
     rng = random.Random(31)
     cases = []
@@ -258,7 +265,7 @@ def test_kernel_matches_reference_pass():
         inst = generate_random_instance(n, rng.randint(0, 10**6), dist=dist)
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        low, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
+        low, error, got_ds, path = _kernel_fractions(inst.integer_weights(), h_max)
         paths.add(path)
         assert got_ds == ds, (n, delta, dist)
         assert low <= cost <= low + error, (n, delta, dist)
@@ -274,8 +281,8 @@ def _mark_every_margin_thin(monkeypatch):
     reruns on the exact object dtype."""
     real = solver._thin_margins
 
-    def every_margin_thin(alpha, beta, h_max, dead, visited, rows):
-        return np.ones_like(real(alpha, beta, h_max, dead, visited, rows))
+    def every_margin_thin(table, alpha_n, h_max, dead, visited, rows):
+        return np.ones_like(real(table, alpha_n, h_max, dead, visited, rows))
 
     monkeypatch.setattr(solver, "_thin_margins", every_margin_thin)
 
@@ -305,13 +312,14 @@ def test_object_pass_releases_its_pair_costs():
     h_max = h_min(n)
     _, alpha, beta = generate_random_instance(n, 5, dist="zipf").integer_weights()
     dead = (h_max + 1) * (sum(alpha) + sum(beta)) + 1
-    solver._backward(alpha, beta, h_max, object, dead)  # builds the cached tables
+    table = solver._weight_table(alpha, beta, object)
+    solver._backward(table, alpha[n], h_max, dead)  # builds the cached tables
     tracemalloc.start()
     try:
-        solver._backward(alpha, beta, h_max, object, dead)
+        solver._backward(table, alpha[n], h_max, dead)
         one, _ = tracemalloc.get_traced_memory()
         for _ in range(3):
-            solver._backward(alpha, beta, h_max, object, dead)
+            solver._backward(table, alpha[n], h_max, dead)
         four, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -333,10 +341,10 @@ def test_pair_cost_blocks_match_reference(monkeypatch, blocks, extra):
     cases.append((generate_random_instance(n, n, dist="zipf"), "int64-floored"))
     for inst, path in cases:
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        low, error, got_ds, got_path = _kernel_pass(inst.integer_weights(), h_max)
+        low, error, got_ds, got_path = _kernel_fractions(inst.integer_weights(), h_max)
         assert (got_path, got_ds) == (path, ds) and low <= cost <= low + error
     _mark_every_margin_thin(monkeypatch)  # the zipf instance reruns exactly
-    assert _kernel_pass(inst.integer_weights(), h_max) == (cost, 0, ds, "object")
+    assert _kernel_fractions(inst.integer_weights(), h_max) == (cost, 0, ds, "object")
 
 
 def _mirrored(n, d):
@@ -364,7 +372,7 @@ def test_exact_ties_take_the_exact_path(n, d):
     for delta in range(3):
         h_max = min(h_min(n) + delta, n)
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        low, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
+        low, error, got_ds, path = _kernel_fractions(inst.integer_weights(), h_max)
         assert path == ("object" if n % 2 == 0 else "int64-floored"), delta
         assert got_ds == ds, delta
         assert low <= cost <= low + error, delta
@@ -375,10 +383,10 @@ def _record_passes(monkeypatch):
     real = solver._stages
     passes = []
 
-    def recorded(alpha, beta, h_max, dtype, dead, nu_lo=1):
-        passes.append((dtype, 0))
-        for stage in real(alpha, beta, h_max, dtype, dead, nu_lo):
-            passes[-1] = (dtype, passes[-1][1] + 1)
+    def recorded(table, alpha_n, h_max, dead, nu_lo=1):
+        passes.append((table.dtype, 0))
+        for stage in real(table, alpha_n, h_max, dead, nu_lo):
+            passes[-1] = (table.dtype, passes[-1][1] + 1)
             yield stage
 
     monkeypatch.setattr(solver, "_stages", recorded)
@@ -411,9 +419,9 @@ def test_pass_one_rows_match_the_second_pass(monkeypatch, n, d):
     real = solver._thin_margins
     seen = []
 
-    def spy(alpha, beta, h_max, dead, visited, rows):
-        flags = real(alpha, beta, h_max, dead, visited, rows)
-        seen.append((alpha, beta, dead, rows.copy(), flags.tolist()))
+    def spy(table, alpha_n, h_max, dead, visited, rows):
+        flags = real(table, alpha_n, h_max, dead, visited, rows)
+        seen.append((table, alpha_n, dead, rows.copy(), flags.tolist()))
         return flags
 
     monkeypatch.setattr(solver, "_thin_margins", spy)
@@ -429,11 +437,11 @@ def test_pass_one_rows_match_the_second_pass(monkeypatch, n, d):
             want = [(np.int64, n)] + ([(np.int64, n - k)] if k < n else [])
             want += [(object, n)] if result[3] == "object" else []
             assert passes == want, (delta, k)
-            alpha, beta, dead, rows, flags = seen.pop()
+            table, alpha_n, dead, rows, flags = seen.pop()
             assert rows.shape == (k, (1 << h_max) + 1) and rows.nbytes <= k * row_bytes
             runs.append((result, flags))
             kept.append(rows.tolist())
-        stages = solver._stages(alpha, beta, h_max, np.int64, dead)
+        stages = solver._stages(table, alpha_n, h_max, dead)
         full = [v.tolist() for _, v, _ in stages][::-1]  # row nu-1 is V_{nu+1}
         assert all(rows == full[: len(rows)] for rows in kept), delta
         assert all(run == runs[0] for run in runs), delta
@@ -539,7 +547,7 @@ def test_grid_boundary_total():
             )
             assert inst.integer_weights()[0] == 1
             cost, ds = forward_pass(backward_pass(inst, h_max))
-            low, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
+            low, error, got_ds, path = _kernel_fractions(inst.integer_weights(), h_max)
             assert path == want and (error == 0) == (extra == 0), delta
             assert got_ds == ds, delta
             assert low <= cost <= low + error, delta
@@ -561,7 +569,7 @@ def test_int32_boundary_total():
         )
         assert inst.integer_weights()[0] == 1
         cost, ds = forward_pass(backward_pass(inst, h_max))
-        assert _kernel_pass(inst.integer_weights(), h_max) == (cost, 0, ds, want)
+        assert _kernel_fractions(inst.integer_weights(), h_max) == (cost, 0, ds, want)
 
 
 # widths 6, 8, 9 and 12
@@ -570,7 +578,9 @@ def test_int32_and_int64_passes_agree(n, delta):
     """On exact instances at widths on both sides of _FUSED_LEVELS, an
     int32 and an int64 _backward return the same value and byte-identical
     int8 policies: the low byte of a packed value does not depend on the
-    dtype it was computed in."""
+    dtype it was computed in. An "object" pass on the same weights, which
+    stores the level alone in a branch taken once per pass, returns the same
+    value and the same level bits at every state."""
     h_max = h_min(n) + delta
     for inst in (generate_random_instance(n, n), generate_random_instance(n, n, "zipf")):
         weights = inst.integer_weights()
@@ -580,10 +590,14 @@ def test_int32_and_int64_passes_agree(n, delta):
             shift = (sum(alpha) + sum(beta)).bit_length() - 16
             alpha, beta = [w >> shift for w in alpha], [w >> shift for w in beta]
         dead = (h_max + 1) * (sum(alpha) + sum(beta)) + 1
-        narrow = solver._backward(alpha, beta, h_max, np.int32, dead)
-        wide = solver._backward(alpha, beta, h_max, np.int64, dead)
-        assert narrow[0] == wide[0], (n, delta)
+        narrow, wide, exact = (
+            solver._backward(solver._weight_table(alpha, beta, dtype), alpha[n], h_max, dead)
+            for dtype in (np.int32, np.int64, object)
+        )
+        assert narrow[0] == wide[0] == exact[0], (n, delta)
         assert narrow[1].dtype == np.int8 and narrow[1].tobytes() == wide[1].tobytes()
+        assert exact[1].dtype == np.int8 and (exact[1] <= solver._LEVEL_MASK).all()
+        assert (exact[1] == wide[1] & solver._LEVEL_MASK).all(), (n, delta)
 
 
 def test_kernel_matches_reference_on_ties():
@@ -609,7 +623,7 @@ def test_kernel_matches_reference_on_ties():
         small = ProblemInstance(beta=beta, alpha=alpha)
         for inst, dtype in ((small, "int32"), (small.scaled(Fraction(10**8)), "int64")):
             cost, ds = forward_pass(backward_pass(inst, h_max))
-            got_cost, error, got_ds, path = _kernel_pass(inst.integer_weights(), h_max)
+            got_cost, error, got_ds, path = _kernel_fractions(inst.integer_weights(), h_max)
             assert (got_cost, got_ds) == (cost, ds), (n, delta, dtype)
             assert (path, error) == (dtype, 0), (n, delta)
 
@@ -660,10 +674,11 @@ def test_thin_flags_match_scalar_margins():
             total = sum(alpha) + sum(beta)
             dead = (h_max + 1) * total + (h_max + 1) * (2 * n + 1) + 2
             kept = rng.choice((0, n, rng.randint(1, n)))  # rows of stages 1..kept
-            value, policies, rows = solver._backward(alpha, beta, h_max, np.int64, dead, kept)
+            table = solver._weight_table(alpha, beta, np.int64)
+            value, policies, rows = solver._backward(table, alpha[n], h_max, dead, kept)
             assert rows.shape == (kept, (1 << h_max) + 1)
             levels, visited = solver._walk(policies)
-            got = solver._thin_margins(alpha, beta, h_max, dead, visited, rows)
+            got = solver._thin_margins(table, alpha[n], h_max, dead, visited, rows)
             v_next = [None] * (1 << h_max)
             for k in range(1, h_max + 1):
                 v_next[(1 << k) - 1] = k * alpha[n]
@@ -797,7 +812,8 @@ def test_walk_matches_reference_through_the_upper_half():
         )
         _, alpha, beta = inst.integer_weights()
         dead = (h_max + 1) * (sum(alpha) + sum(beta)) + 1
-        _, policies, _ = solver._backward(alpha, beta, h_max, np.int64, dead)
+        table = solver._weight_table(alpha, beta, np.int64)
+        _, policies, _ = solver._backward(table, alpha[n], h_max, dead)
         assert policies.shape == (n, 1 << (h_max - 1))
         levels, visited = solver._walk(policies)
         assert max(visited) >= 1 << (h_max - 1), n
@@ -818,9 +834,9 @@ def test_policy_bytes_hold_the_level_in_their_low_bits(monkeypatch):
     real = solver._backward
     passes = []
 
-    def spy(alpha, beta, h_max, dtype, dead, kept=0):
-        out = real(alpha, beta, h_max, dtype, dead, kept)
-        passes.append((alpha, beta, h_max, out[1]))
+    def spy(table, alpha_n, h_max, dead, kept=0):
+        out = real(table, alpha_n, h_max, dead, kept)
+        passes.append((table[0].tolist() + [alpha_n], table[1].tolist(), h_max, out[1]))
         return out
 
     monkeypatch.setattr(solver, "_backward", spy)
@@ -931,27 +947,51 @@ def test_policy_limit_at_width_22(monkeypatch):
 
 
 def test_cost_check_raises_on_mismatch(monkeypatch, golden_instance):
+    """solve() compares the kernel's bounds, integers over the common
+    denominator d, with the tree's wpl scaled to d. On the exact paths a
+    value one unit over d above or below the wpl is refused. The instances
+    with keys 1/6, 1/3, 1/2 have a wpl whose denominator is below d, so a
+    check that read the wpl's numerator without scaling it to d would
+    refuse their unmoved values. A floored value may lie up to its rounding
+    bound below the wpl, and no more: one unit past either end is refused."""
     real = solver._kernel_pass
-    shift = {}
+    move = {}
 
     def wrong_cost(weights, h_max):
-        cost, error, ds, path = real(weights, h_max)
-        return cost + shift[path](error), error, ds, path
+        low, error, ds, path = real(weights, h_max)
+        return move[path](low, error), error, ds, path
 
     monkeypatch.setattr(solver, "_kernel_pass", wrong_cost)
-    shift["int32"] = shift["int64"] = lambda error: 1
-    for inst, path in ((golden_instance, "int32"), (golden_instance.scaled(10**12), "int64")):
-        assert real(inst.integer_weights(), 3)[3] == path
-        with pytest.raises(RuntimeError, match="differs"):
-            solve(inst, 0)
+    shared = ProblemInstance(beta=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), alpha=(0,) * 4)
+    cases = [(golden_instance, "int32"), (golden_instance.scaled(10**12), "int64")]
+    cases += [(shared, "int32"), (shared.scaled(6 * 10**8 + 1), "int64")]
+    for inst, path in cases:
+        assert real(inst.integer_weights(), h_min(inst.n))[3] == path
+        move[path] = lambda low, error: low
+        wpl = solve(inst, 0).cost
+        assert wpl == forward_pass(backward_pass(inst, h_min(inst.n)))[0]
+        if inst.n == 3:
+            assert wpl.denominator < inst.common_denominator() == 6
+        for step in (1, -1):
+            move[path] = lambda low, error: low + step
+            with pytest.raises(RuntimeError, match="differs"):
+                solve(inst, 0)
     # a floored value lies below the tree's wpl by less than its rounding
     # bound; the solution reports the exact wpl
     inst = generate_random_instance(96, 1, dist="zipf")
-    shift["int64-floored"] = lambda error: 0
+    d = inst.common_denominator()
     cost, _ = forward_pass(backward_pass(inst, h_min(96)))
-    assert solve(inst, 0).cost == cost
-    for moved in (2, -2):
-        shift["int64-floored"] = lambda error: moved * error
+    total = cost.numerator * (d // cost.denominator)
+    for low in (lambda low, error: low, lambda low, error: total, lambda low, error: total - error):
+        move["int64-floored"] = low
+        assert solve(inst, 0).cost == cost
+    for low in (
+        lambda low, error: low + 2 * error,
+        lambda low, error: low - 2 * error,
+        lambda low, error: total + 1,  # the wpl one unit below low
+        lambda low, error: total - error - 1,  # the wpl one unit above low + error
+    ):
+        move["int64-floored"] = low
         with pytest.raises(RuntimeError, match="rounding bound"):
             solve(inst, 0)
 
